@@ -14,6 +14,10 @@
 // {64, 256, 512}: every width must reproduce the 64-bit results and
 // stream exactly (knn_lane_width_sweep records, with the resolved ISA).
 //
+// A last section times the engine against the CPU exact scan
+// (knn::batch_knn) on 256 queries at 1 thread: the knn_engine_vs_cpu_scan
+// record, gated in CI.
+//
 // Usage: bench_fig8_comparison [n] [dims] [queries]   (defaults 1024 128 32)
 
 #include <algorithm>
@@ -28,6 +32,7 @@
 #include "core/engine.hpp"
 #include "core/ext/comparison_macro.hpp"
 #include "knn/dataset.hpp"
+#include "knn/exact.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -317,6 +322,71 @@ int run_lane_width_sweep(util::BenchReport& report, std::size_t n,
   return errors == 0 ? 0 : 1;
 }
 
+/// The honest baseline: engine search() at the fig8 point — bit-parallel,
+/// 1 thread, report stream not collected, so every frame stops after its
+/// k-th report's cycle — against the CPU exact scan (knn::batch_knn) of the
+/// same 256 queries on the same thread. Best of kReps each, alternating.
+/// ratio = scan / engine: above 1 the simulated accelerator beats the scan.
+int run_engine_vs_cpu_scan(util::BenchReport& report, std::size_t n,
+                           std::size_t dims) {
+  const std::size_t k = 10;
+  constexpr std::size_t kQueries = 256;
+  constexpr int kReps = 7;
+  const auto data = knn::BinaryDataset::uniform(n, dims, 97);
+  const auto queries = knn::BinaryDataset::uniform(kQueries, dims, 99);
+  core::EngineOptions opt;
+  opt.backend = core::SimulationBackend::kBitParallel;
+  opt.threads = 1;
+  core::ApKnnEngine engine(data, opt);
+  double engine_s = 0.0;
+  double scan_s = 0.0;
+  std::vector<std::vector<knn::Neighbor>> results;
+  for (int rep = 0; rep < kReps; ++rep) {
+    util::Timer engine_timer;
+    results = engine.search(queries, k);
+    const double e = engine_timer.seconds();
+    util::Timer scan_timer;
+    const auto scanned = knn::batch_knn(data, queries, k);
+    const double s = scan_timer.seconds();
+    engine_s = rep == 0 ? e : std::min(engine_s, e);
+    scan_s = rep == 0 ? s : std::min(scan_s, s);
+    if (scanned.size() != results.size()) {
+      std::fprintf(stderr, "FAIL: scan returned %zu lists\n", scanned.size());
+      return 1;
+    }
+  }
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    if (!knn::is_valid_knn_result(data, queries.row(q), k, results[q])) {
+      std::fprintf(stderr, "FAIL: engine query %zu is not a valid kNN\n", q);
+      return 1;
+    }
+  }
+  const core::EngineStats& stats = engine.last_stats();
+  const double per_q = 1e6 / static_cast<double>(kQueries);
+  const double ratio = engine_s > 0.0 ? scan_s / engine_s : 0.0;
+  std::printf("\nengine vs CPU exact scan (%zux%zu, %zu queries, k=%zu, 1 "
+              "thread, best of %d):\n  engine search() %.2f us/query, "
+              "knn::batch_knn %.2f us/query -> ratio %.2f (scan/engine); "
+              "host cycles skipped %zu of %zu simulated\n",
+              n, dims, kQueries, k, kReps, engine_s * per_q, scan_s * per_q,
+              ratio, stats.host_cycles_skipped, stats.simulated_cycles);
+  report.write(util::BenchRecord("knn_engine_vs_cpu_scan")
+                   .param("n", static_cast<std::uint64_t>(n))
+                   .param("dims", static_cast<std::uint64_t>(dims))
+                   .param("queries", static_cast<std::uint64_t>(kQueries))
+                   .param("k", static_cast<std::uint64_t>(k))
+                   .param("threads", std::uint64_t{1})
+                   .param("engine_us_per_query", engine_s * per_q)
+                   .param("cpu_scan_us_per_query", scan_s * per_q)
+                   .param("ratio", ratio)
+                   .param("host_cycles_skipped",
+                          static_cast<std::uint64_t>(
+                              stats.host_cycles_skipped))
+                   .cycles(static_cast<std::uint64_t>(stats.simulated_cycles))
+                   .wall_seconds(engine_s));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -336,12 +406,14 @@ int main(int argc, char** argv) try {
   const int backend_rc = run_backend_comparison(report, n, dims, queries);
   const int sweep_rc = run_thread_sweep(report, n, dims, queries);
   const int width_rc = run_lane_width_sweep(report, n, dims, queries);
+  const int scan_rc = run_engine_vs_cpu_scan(report, n, dims);
   if (report.ok()) {
     std::printf("\nrecorded -> %s\n", report.path().c_str());
   }
   if (grid_rc != 0) return grid_rc;
   if (backend_rc != 0) return backend_rc;
-  return sweep_rc != 0 ? sweep_rc : width_rc;
+  if (sweep_rc != 0) return sweep_rc;
+  return width_rc != 0 ? width_rc : scan_rc;
 } catch (const std::exception& ex) {
   std::fprintf(stderr, "error: %s\n", ex.what());
   return 1;

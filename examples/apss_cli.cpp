@@ -275,8 +275,10 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
     std::printf("  vector %6u  distance %u\n", nb.id, nb.distance);
   }
   const auto& stats = engine.last_stats();
-  std::printf("device cycles: %zu (%zu per query frame)\n",
-              stats.simulated_cycles, stats.cycles_per_query);
+  std::printf("device cycles: %zu (%zu per query frame); host cycles "
+              "skipped: %zu\n",
+              stats.simulated_cycles, stats.cycles_per_query,
+              stats.host_cycles_skipped);
   // Per-configuration fault-isolation outcomes: silent only when everything
   // is healthy under the default policy.
   const std::size_t surviving = stats.surviving_configurations();

@@ -1024,8 +1024,15 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
 }
 
 void BatchSimulator::reset() {
-  const BatchProgram& p = *program_;
   cycle_ = 0;
+  cycles_skipped_ = 0;
+  reports_skipped_ = 0;
+  reports_.clear();
+  reset_state();
+}
+
+void BatchSimulator::reset_state() {
+  const BatchProgram& p = *program_;
   guard_prev_ = false;
   sort_prev_ = false;
   bridge_ = 0;
@@ -1041,7 +1048,6 @@ void BatchSimulator::reset() {
       planes_[q * eff_words_ + w] = bias_bit ? p.valid_[w] : 0;
     }
   }
-  reports_.clear();
 }
 
 void BatchSimulator::step(std::uint8_t symbol) {
@@ -1180,6 +1186,56 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
   }
   return {reports_.begin() + static_cast<std::ptrdiff_t>(first_new),
           reports_.end()};
+}
+
+std::vector<ReportEvent> BatchSimulator::run_frames(
+    std::span<const std::uint8_t> stream, std::size_t frame_cycles,
+    std::size_t keep, const util::RunControl& control) {
+  const BatchProgram& p = *program_;
+  if (keep == 0 || frame_cycles == 0 || stream.size() % frame_cycles != 0) {
+    throw std::invalid_argument(
+        "BatchSimulator::run_frames: needs keep >= 1 and a whole number of "
+        "non-empty frames");
+  }
+  for (std::size_t begin = 0; begin < stream.size(); begin += frame_cycles) {
+    if (stream[begin] != p.sof_ || stream[begin + frame_cycles - 1] != p.eof_) {
+      throw std::invalid_argument(
+          "BatchSimulator::run_frames: frame at symbol " +
+          std::to_string(begin) + " does not start with SOF and end with EOF");
+    }
+  }
+  reset();
+  // A well-formed frame ends in the reset() state: EOF has reloaded every
+  // counter's bias, the wavefront and sort chain have drained, and no
+  // pulse is staged. So once the keep-th report's cycle is done, the rest
+  // of the frame can only emit reports the caller discards, and the next
+  // frame starts from reset_state() exactly as it would after stepping on.
+  const bool polled = control.engaged() || util::FaultInjector::armed();
+  const std::uint64_t period =
+      control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
+  std::uint64_t since = 0;
+  for (std::size_t begin = 0; begin < stream.size(); begin += frame_cycles) {
+    const std::size_t first = reports_.size();
+    std::size_t i = 0;
+    while (i < frame_cycles && reports_.size() - first < keep) {
+      step(stream[begin + i]);
+      ++i;
+    }
+    if (i < frame_cycles) {
+      const std::size_t emitted = reports_.size() - first;
+      cycles_skipped_ += frame_cycles - i;
+      reports_skipped_ += p.macro_count_ - std::min(p.macro_count_, emitted);
+      cycle_ += frame_cycles - i;
+      reset_state();
+    }
+    since += frame_cycles;
+    if (polled && since >= period) {
+      since = 0;
+      control.checkpoint();
+      util::FaultInjector::check(util::kFaultBatchFrame, control.fault_key);
+    }
+  }
+  return reports_;
 }
 
 }  // namespace apss::apsim

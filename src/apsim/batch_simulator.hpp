@@ -292,6 +292,35 @@ class BatchSimulator {
   std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream,
                                         const util::RunControl& control);
 
+  /// Frame-bounded run (docs/SIMULATOR_SEMANTICS.md, "Frame-bounded
+  /// execution"): reset(), then for each `frame_cycles`-symbol frame of
+  /// `stream`, step until the end of the cycle in which the frame's
+  /// `keep`-th report appears (every tie in that cycle included), return
+  /// the dynamic state to its reset() value — keeping the collected
+  /// reports — and advance cycle() to the frame end. Per frame the events
+  /// equal run()'s up to and including that cycle; with keep >= lanes
+  /// they equal run() exactly. cycle() always ends at stream.size().
+  ///
+  /// Valid only on well-formed encoder frames, where every live lane
+  /// reports exactly once per frame (reports_skipped() relies on it).
+  /// Throws std::invalid_argument when keep or frame_cycles is 0, the
+  /// stream is not a whole number of frames, or a frame does not start
+  /// with the SOF symbol and end with the EOF symbol.
+  ///
+  /// Checkpoints and the "batch.frame" fault site fire at frame boundaries
+  /// with skipped cycles counted as consumed — with checkpoint_period =
+  /// frame_cycles, exactly once per frame, as in run(stream, control).
+  std::vector<ReportEvent> run_frames(std::span<const std::uint8_t> stream,
+                                      std::size_t frame_cycles,
+                                      std::size_t keep,
+                                      const util::RunControl& control = {});
+
+  /// Host-side work the last run_frames() cut: cycles it did not step, and
+  /// reports those cycles would have emitted (lanes minus the reports
+  /// emitted, per cut frame). Zero after reset() and after run().
+  std::uint64_t cycles_skipped() const noexcept { return cycles_skipped_; }
+  std::uint64_t reports_skipped() const noexcept { return reports_skipped_; }
+
   std::uint64_t cycle() const noexcept { return cycle_; }
   const std::vector<ReportEvent>& reports() const noexcept { return reports_; }
   void clear_reports() { reports_.clear(); }
@@ -304,11 +333,17 @@ class BatchSimulator {
   bool lane_simd() const noexcept { return kernels_.simd; }
 
  private:
+  /// The dynamic element state of reset(); leaves cycle_, the collected
+  /// reports and the skip counters alone.
+  void reset_state();
+
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
   std::size_t eff_words_ = 0;  ///< words_ rounded up to the kernel block
 
   std::uint64_t cycle_ = 0;
+  std::uint64_t cycles_skipped_ = 0;
+  std::uint64_t reports_skipped_ = 0;
   bool guard_prev_ = false;  ///< guard output last cycle (scalar: uniform)
   bool sort_prev_ = false;   ///< sort-state output last cycle
   std::uint64_t bridge_ = 0;  ///< bridge-chain outputs last cycle, bit k = slot k

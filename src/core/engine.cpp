@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
@@ -422,6 +423,9 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     /// query-stream timeline after decoding.
     std::vector<apsim::ReportEvent> events;
     std::vector<std::vector<knn::Neighbor>> partial;
+    /// Host work the frame-bounded run cut (BatchSimulator::run_frames).
+    std::uint64_t cycles_skipped = 0;
+    std::uint64_t reports_skipped = 0;
   };
   std::vector<Shard> shards;
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
@@ -431,6 +435,12 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   }
 
   const SymbolStreamEncoder encoder(spec_);
+  // Bit-parallel shards stop each frame once its k-th report's cycle is
+  // done: the temporal sort makes later reports irrelevant to the top-k.
+  // A caller that keeps the raw stream gets whole frames instead.
+  const std::size_t keep = options_.collect_report_stream
+                               ? std::numeric_limits<std::size_t>::max()
+                               : k;
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
@@ -461,8 +471,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   // Each worker owns its simulator scratch state and reuses it across the
   // consecutive shards of its chunk while they stay on one configuration —
   // the cycle-accurate simulator's construction (a full validation pass)
-  // then amortizes over the chunk. run() resets per shard, so reuse cannot
-  // leak state between shards.
+  // then amortizes over the chunk. Both simulators reset at the start of
+  // every shard's run, so reuse cannot leak state between shards.
   const auto run_shards = [&](std::size_t lo, std::size_t hi) {
     constexpr std::size_t kNoConfig = static_cast<std::size_t>(-1);
     std::size_t sim_config = kNoConfig;
@@ -506,8 +516,16 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       for (std::size_t i = 0; i < shard.q_count; ++i) {
         encoder.append_query(queries.row(shard.q_begin + i), stream);
       }
-      shard.events = batch != nullptr ? batch->run(stream, ctl)
-                                      : reference->run(stream, ctl);
+      if (batch != nullptr) {
+        shard.events =
+            batch->run_frames(stream, spec_.cycles_per_query(), keep, ctl);
+        shard.cycles_skipped = batch->cycles_skipped();
+        shard.reports_skipped = batch->reports_skipped();
+      } else {
+        shard.events = reference->run(stream, ctl);
+        shard.cycles_skipped = 0;
+        shard.reports_skipped = 0;
+      }
       const TemporalSortDecoder decoder(spec_, shard.q_count);
       shard.partial = decoder.decode(shard.events, k);
       apsim::rebase_events(shard.events,
@@ -618,7 +636,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     if (!survives(shard.config)) {
       continue;
     }
-    stats_.report_events += shard.events.size();
+    stats_.report_events += shard.events.size() + shard.reports_skipped;
+    stats_.host_cycles_skipped += shard.cycles_skipped;
     if (options_.collect_report_stream) {
       report_stream_.insert(report_stream_.end(), shard.events.begin(),
                             shard.events.end());

@@ -152,7 +152,9 @@ struct EngineOptions {
   /// Retain the merged ReportEvent stream of the last search() — shard
   /// buffers rebased to each configuration's full query-stream timeline and
   /// concatenated in configuration/frame order (last_report_stream()).
-  /// Off by default: the raw stream can dwarf the decoded results.
+  /// Off by default: the raw stream can dwarf the decoded results. Off
+  /// also lets bit-parallel shards stop each frame after its k-th report's
+  /// cycle (EngineStats::host_cycles_skipped); on, they run whole frames.
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
@@ -208,7 +210,16 @@ struct EngineStats {
   std::size_t cycles_per_query = 0;    ///< per configuration pass
   std::size_t queries = 0;
   std::size_t simulated_cycles = 0;  ///< total across configurations
+  /// Reports the DEVICE emits: every live lane reports once per frame.
+  /// Counts the reports a frame-bounded shard skipped as well as the ones
+  /// it emitted, so it does not depend on how the host simulated.
   std::size_t report_events = 0;
+  /// Host-only: cycles the bit-parallel shards did not step because their
+  /// frame's top-k was already decided (BatchSimulator::run_frames). Zero
+  /// with collect_report_stream or on the cycle-accurate path. Not device
+  /// work: simulated_cycles and the device model never subtract it, and
+  /// same_work() ignores it.
+  std::size_t host_cycles_skipped = 0;
   /// Which backend compiled each configuration (and why any fell back).
   BackendCompileStats backend;
   /// Per-configuration fault-isolation outcome of the last search() (empty
@@ -238,8 +249,8 @@ struct EngineStats {
   }
 
   /// Backend-independent accounting equality: the two backends must do the
-  /// SAME device work (cycles, reports, splits) even though `backend`
-  /// legitimately differs between them.
+  /// SAME device work (cycles, reports, splits) even though `backend` and
+  /// the host-only host_cycles_skipped legitimately differ between them.
   bool same_work(const EngineStats& o) const {
     return configurations == o.configurations &&
            vectors_per_config == o.vectors_per_config &&

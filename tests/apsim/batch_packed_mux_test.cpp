@@ -6,7 +6,8 @@
 // ids, report codes, within-cycle order) on encoded query frames AND on
 // adversarial random symbol streams. Near-miss configurations (permuted
 // lanes, cross-group wiring, tampered counters, double-collected
-// dimensions) must be declined so callers fall back.
+// dimensions) must be declined so callers fall back. On encoded frames the
+// frame-bounded run must emit the reference stream's per-frame prefix.
 
 #include <gtest/gtest.h>
 
@@ -65,12 +66,17 @@ std::shared_ptr<const BatchProgram> compile_packed_or_die(
 
 void expect_identical_packed(const PackedConfig& c,
                              std::span<const std::uint8_t> stream,
-                             const std::string& context) {
+                             const std::string& context,
+                             std::size_t frame = 0) {
   Simulator reference(c.network);
   BatchSimulator batch(compile_packed_or_die(c));
   const auto expected = reference.run(stream);
   const auto actual = batch.run(stream);
   ASSERT_EQ(actual, expected) << context;
+  if (frame > 0) {  // well-formed encoder frames: check the prefix contract
+    const std::size_t keeps[] = {1, 2, batch.program().macro_count()};
+    test::expect_frame_bounded(batch, stream, frame, expected, keeps, context);
+  }
 }
 
 // --- Multiplexed-shape fixtures ----------------------------------------------
@@ -113,12 +119,16 @@ std::shared_ptr<const BatchProgram> compile_mux_or_die(const MuxConfig& c) {
 
 void expect_identical_mux(const MuxConfig& c,
                           std::span<const std::uint8_t> stream,
-                          const std::string& context) {
+                          const std::string& context, std::size_t frame = 0) {
   Simulator reference(c.network);
   BatchSimulator batch(compile_mux_or_die(c));
   const auto expected = reference.run(stream);
   const auto actual = batch.run(stream);
   ASSERT_EQ(actual, expected) << context;
+  if (frame > 0) {  // well-formed encoder frames: check the prefix contract
+    const std::size_t keeps[] = {1, 2, batch.program().macro_count()};
+    test::expect_frame_bounded(batch, stream, frame, expected, keeps, context);
+  }
 }
 
 // --- Packed differential sweeps ----------------------------------------------
@@ -138,7 +148,8 @@ TEST(BatchPackedDifferential, FlatEncodedQuerySweep) {
       const auto queries = test::random_dataset(rng, 1 + rng.below(4), dims);
       expect_identical_packed(c, enc.encode_batch(queries),
                               "flat d=" + std::to_string(dims) +
-                                  " g=" + std::to_string(group));
+                                  " g=" + std::to_string(group),
+                              c.spec.cycles_per_query());
     }
   }
 }
@@ -162,7 +173,8 @@ TEST(BatchPackedDifferential, TreeEncodedQuerySweep) {
       const core::SymbolStreamEncoder enc(c.spec);
       const auto queries = test::random_dataset(rng, 3, dims);
       expect_identical_packed(c, enc.encode_batch(queries),
-                              "tree d=" + std::to_string(dims));
+                              "tree d=" + std::to_string(dims),
+                              c.spec.cycles_per_query());
     }
   }
 }
@@ -343,7 +355,8 @@ TEST(BatchMuxDifferential, EncodedFrameSweep) {
       std::size_t frames = 0;
       expect_identical_mux(c, enc.encode_batch(queries, frames),
                            "slices=" + std::to_string(slices) +
-                               " d=" + std::to_string(dims));
+                               " d=" + std::to_string(dims),
+                           c.spec.cycles_per_query());
     }
   }
 }
@@ -394,7 +407,7 @@ TEST(BatchMuxProgram, DeepTreesAndPartialSlices) {
   auto stream = enc.encode_group(queries, 0, 3);
   const auto tail = enc.encode_group(queries, 3, 1);
   stream.insert(stream.end(), tail.begin(), tail.end());
-  expect_identical_mux(c, stream, "deep partial");
+  expect_identical_mux(c, stream, "deep partial", c.spec.cycles_per_query());
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 // ragged lane counts straddling every word boundary. Also pins the
 // resolve_lane_kernels dispatch contract and the exact-multiple tail-mask
 // behaviour (lanes % 64 == 0 must yield a full, not empty, tail mask).
+// The frame-bounded run rides the same matrix: on well-formed frames it
+// must emit exactly the per-frame prefix of the reference stream up to
+// the k-th report's cycle, at every width.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,6 +110,58 @@ void expect_all_widths(const Config& c, std::span<const std::uint8_t> stream,
   expect_all_widths(compile_or_die(c), stream, reference.run(stream), context);
 }
 
+/// A keep that falls on the first event of the first frame's largest
+/// same-cycle tie group, so the bounded run must carry the rest of the
+/// group past keep.
+std::size_t tie_heavy_keep(const std::vector<ReportEvent>& full,
+                           std::size_t frame) {
+  std::size_t best_start = 0;
+  std::size_t best_len = 0;
+  for (std::size_t i = 0; i < full.size() && full[i].cycle <= frame;) {
+    std::size_t j = i;
+    while (j < full.size() && full[j].cycle == full[i].cycle) {
+      ++j;
+    }
+    if (j - i > best_len) {
+      best_len = j - i;
+      best_start = i;
+    }
+    i = j;
+  }
+  return best_start + 1;
+}
+
+/// The frame-bounded run at every width, SIMD and forced-portable, against
+/// the per-frame prefix of `full` — the reference events of the
+/// well-formed `frame`-cycle frames in `stream` — for k = 1, a tie-heavy k
+/// and k >= lanes, where it must equal run() exactly. Emitted plus skipped
+/// reports must add up to the full count, and cycle() must end at the
+/// stream length.
+void expect_bounded_all_widths(std::shared_ptr<const BatchProgram> program,
+                               std::span<const std::uint8_t> stream,
+                               std::size_t frame,
+                               const std::vector<ReportEvent>& full,
+                               const std::string& context) {
+  const std::size_t lanes = program->macro_count();
+  const std::size_t keeps[] = {1, tie_heavy_keep(full, frame), lanes,
+                               lanes + 7};
+  const auto check = [&](BatchSimulator& batch, const std::string& ctx) {
+    test::expect_frame_bounded(batch, stream, frame, full, keeps, ctx);
+    // The same simulator then runs whole frames unaffected.
+    ASSERT_EQ(batch.run(stream), full) << ctx;
+    ASSERT_EQ(batch.cycles_skipped(), 0u) << ctx;
+  };
+  for (const LaneWidth w : kWidths) {
+    BatchSimulator batch(program, w);
+    check(batch, context + " bounded width=" + to_string(w));
+  }
+  ForcePortable portable;
+  for (const LaneWidth w : kWidths) {
+    BatchSimulator batch(program, w);
+    check(batch, context + " bounded portable width=" + to_string(w));
+  }
+}
+
 // --- Ragged lane counts across every word boundary --------------------------
 
 TEST(LaneWidthSweep, RaggedLaneCountsEncodedQueries) {
@@ -120,8 +176,15 @@ TEST(LaneWidthSweep, RaggedLaneCountsEncodedQueries) {
     const Config c = build_config(data);
     const core::SymbolStreamEncoder enc(c.spec);
     const auto queries = test::random_dataset(rng, 2, dims);
-    expect_all_widths(c, enc.encode_batch(queries),
-                      "n=" + std::to_string(n) + " d=" + std::to_string(dims));
+    const auto stream = enc.encode_batch(queries);
+    const std::string context =
+        "n=" + std::to_string(n) + " d=" + std::to_string(dims);
+    Simulator reference(c.network);
+    const auto expected = reference.run(stream);
+    const auto program = compile_or_die(c);
+    expect_all_widths(program, stream, expected, context);
+    expect_bounded_all_widths(program, stream, c.spec.cycles_per_query(),
+                              expected, context);
   }
 }
 
@@ -151,6 +214,8 @@ TEST(LaneWidthSweep, ExactMultipleLaneCountsReportTheLastLane) {
     }
     ASSERT_TRUE(last_lane_reported) << "n=" << n;
     expect_all_widths(program, stream, expected, "n=" + std::to_string(n));
+    expect_bounded_all_widths(program, stream, c.spec.cycles_per_query(),
+                              expected, "n=" + std::to_string(n));
   }
 }
 
@@ -221,8 +286,11 @@ TEST(LaneWidthSweep, PackedFamilyRunsAtEveryWidth) {
     const core::SymbolStreamEncoder enc(spec);
     const auto stream = enc.encode_batch(test::random_dataset(rng, 3, 12));
     Simulator reference(network);
-    expect_all_widths(program, stream, reference.run(stream),
+    const auto expected = reference.run(stream);
+    expect_all_widths(program, stream, expected,
                       "packed n=" + std::to_string(n));
+    expect_bounded_all_widths(program, stream, spec.cycles_per_query(),
+                              expected, "packed n=" + std::to_string(n));
   }
 }
 
@@ -251,7 +319,10 @@ TEST(LaneWidthSweep, MultiplexedFamilyRunsAtEveryWidth) {
       enc.encode_batch(test::random_dataset(rng, 9, dims), frames);
   ASSERT_GE(frames, 2u);
   Simulator reference(network);
-  expect_all_widths(program, stream, reference.run(stream), "multiplexed");
+  const auto expected = reference.run(stream);
+  expect_all_widths(program, stream, expected, "multiplexed");
+  expect_bounded_all_widths(program, stream, spec.cycles_per_query(),
+                            expected, "multiplexed");
 }
 
 // --- Cross-width property fuzz -----------------------------------------------
@@ -269,6 +340,13 @@ TEST(LaneWidthSweep, CrossWidthPropertyFuzz) {
     const core::SymbolStreamEncoder enc(c.spec);
     std::vector<std::uint8_t> stream =
         enc.encode_batch(test::random_dataset(rng, 1 + rng.below(3), dims));
+    {
+      Simulator reference(c.network);
+      expect_bounded_all_widths(compile_or_die(c), stream,
+                                c.spec.cycles_per_query(),
+                                reference.run(stream),
+                                "fuzz seed=" + std::to_string(seed));
+    }
     // Splice in raw-symbol noise so control/edge symbols hit mid-frame.
     const std::uint8_t palette[] = {core::Alphabet::kSof, core::Alphabet::kEof,
                                     core::Alphabet::kFill, 0x00, 0xff};
@@ -282,6 +360,33 @@ TEST(LaneWidthSweep, CrossWidthPropertyFuzz) {
                       "fuzz seed=" + std::to_string(seed) +
                           " n=" + std::to_string(n) +
                           " d=" + std::to_string(dims));
+  }
+}
+
+TEST(LaneWidthSweep, BoundedRunRejectsMalformedFrames) {
+  // The prefix contract rests on every frame ending in the reset() state,
+  // which only a SOF ... EOF encoder frame guarantees.
+  util::Rng rng(515);
+  const std::size_t dims = 9;
+  const Config c = build_config(test::random_dataset(rng, 20, dims));
+  const auto program = compile_or_die(c);
+  const std::size_t frame = c.spec.cycles_per_query();
+  const core::SymbolStreamEncoder enc(c.spec);
+  const auto good = enc.encode_batch(test::random_dataset(rng, 2, dims));
+  for (const LaneWidth w : kWidths) {
+    BatchSimulator batch(program, w);
+    EXPECT_NO_THROW(batch.run_frames(good, frame, 3));
+    auto no_sof = good;
+    no_sof[frame] = core::Alphabet::kFill;
+    EXPECT_THROW(batch.run_frames(no_sof, frame, 3), std::invalid_argument);
+    auto no_eof = good;
+    no_eof[frame - 1] = core::Alphabet::kFill;
+    EXPECT_THROW(batch.run_frames(no_eof, frame, 3), std::invalid_argument);
+    const std::span<const std::uint8_t> ragged(good.data(), good.size() - 1);
+    EXPECT_THROW(batch.run_frames(ragged, frame, 3), std::invalid_argument);
+    EXPECT_THROW(batch.run_frames(good, frame + 1, 3), std::invalid_argument);
+    EXPECT_THROW(batch.run_frames(good, 0, 3), std::invalid_argument);
+    EXPECT_THROW(batch.run_frames(good, frame, 0), std::invalid_argument);
   }
 }
 

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "anml/network.hpp"
+#include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/stream.hpp"
@@ -105,6 +107,84 @@ inline std::vector<apsim::ReportEvent> run_hamming_query(
   apsim::Simulator sim(net);
   const core::SymbolStreamEncoder encoder(layout.stream_spec(vec.size()));
   return sim.run(encoder.encode_query(query));
+}
+
+/// The frame-bounded run's contract (BatchSimulator::run_frames) applied to
+/// a full run's `events`: per `frame_cycles`-cycle frame, the events up to
+/// and including the cycle of the frame's `keep`-th event, ties in that
+/// cycle included (the whole frame when it has fewer than `keep`).
+inline std::vector<apsim::ReportEvent> frame_prefix(
+    const std::vector<apsim::ReportEvent>& events, std::size_t frame_cycles,
+    std::size_t keep) {
+  std::vector<apsim::ReportEvent> out;
+  std::uint64_t frame = ~std::uint64_t{0};
+  std::uint64_t cut = ~std::uint64_t{0};
+  std::size_t seen = 0;
+  for (const apsim::ReportEvent& e : events) {
+    const std::uint64_t f = (e.cycle - 1) / frame_cycles;
+    if (f != frame) {
+      frame = f;
+      cut = ~std::uint64_t{0};
+      seen = 0;
+    }
+    if (e.cycle > cut) {
+      continue;
+    }
+    out.push_back(e);
+    if (++seen == keep) {
+      cut = e.cycle;
+    }
+  }
+  return out;
+}
+
+/// Cycles a frame-bounded run skips on `events`' frames: per frame, from
+/// its `keep`-th event's cycle to the frame end.
+inline std::uint64_t frame_cycles_skipped(
+    const std::vector<apsim::ReportEvent>& events, std::size_t frame_cycles,
+    std::size_t keep) {
+  std::uint64_t skipped = 0;
+  std::uint64_t frame = ~std::uint64_t{0};
+  std::size_t seen = 0;
+  for (const apsim::ReportEvent& e : events) {
+    const std::uint64_t f = (e.cycle - 1) / frame_cycles;
+    if (f != frame) {
+      frame = f;
+      seen = 0;
+    }
+    if (++seen == keep) {
+      skipped += (f + 1) * frame_cycles - e.cycle;
+    }
+  }
+  return skipped;
+}
+
+/// Runs batch.run_frames at each of `keeps` over the well-formed
+/// `frame_cycles`-cycle frames of `stream` and checks the frame-bounded
+/// contract against `full`, the reference events of the whole stream: the
+/// per-frame prefix, emitted plus skipped reports equal to the full count,
+/// the exact skipped cycles, cycle() at the stream end, and run()'s output
+/// byte for byte once keep >= lanes.
+inline void expect_frame_bounded(apsim::BatchSimulator& batch,
+                                 std::span<const std::uint8_t> stream,
+                                 std::size_t frame_cycles,
+                                 const std::vector<apsim::ReportEvent>& full,
+                                 std::span<const std::size_t> keeps,
+                                 const std::string& context) {
+  const std::size_t lanes = batch.program().macro_count();
+  for (const std::size_t keep : keeps) {
+    const std::string ctx = context + " keep=" + std::to_string(keep);
+    const auto events = batch.run_frames(stream, frame_cycles, keep);
+    ASSERT_EQ(events, frame_prefix(full, frame_cycles, keep)) << ctx;
+    ASSERT_EQ(events.size() + batch.reports_skipped(), full.size()) << ctx;
+    ASSERT_EQ(batch.cycles_skipped(),
+              frame_cycles_skipped(full, frame_cycles, keep))
+        << ctx;
+    ASSERT_EQ(batch.cycle(), stream.size()) << ctx;
+    if (keep >= lanes) {
+      ASSERT_EQ(events, full) << ctx;
+    }
+  }
 }
 
 /// Asserts that `results` holds one valid k-NN answer (distance-exact under

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "apsim/batch_simulator.hpp"
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
 #include "core/opt/stream_multiplexing.hpp"
@@ -335,6 +336,97 @@ TEST_F(ChaosEngine, IsolatePolicyWithoutFaultsMatchesBaseline) {
       EXPECT_EQ(run.stats.count_state(ShardState::kOk), kConfigs);
     }
   }
+}
+
+TEST_F(ChaosEngine, CutFramesPollAndFailLikeWholeFrames) {
+  // Without a collected report stream, bit-parallel shards stop each frame
+  // after its k-th report's cycle. A frame ended early still polls at its
+  // boundary: batch.frame sees one hit per frame, a fault window fails the
+  // same frame, and a degraded configuration returns the same lists and
+  // device accounting as on whole frames.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 725);
+  const auto queries = knn::BinaryDataset::uniform(6, 24, 726);
+  const EngineOptions bed = bed_options(SimulationBackend::kBitParallel);
+  const SearchRun baseline = run_engine(data, queries, 1, bed, 1);
+  auto& injector = util::FaultInjector::instance();
+  for (const bool collect : {true, false}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string ctx = std::string(collect ? "whole" : "cut") +
+                              " frames, threads=" + std::to_string(threads);
+      EngineOptions opt = bed;
+      opt.collect_report_stream = collect;
+      opt.threads = threads;
+      ApKnnEngine engine(data, opt);
+
+      util::FaultInjector::Plan count;
+      count.match_key = kVictim;
+      count.fail_on_hit = 0;
+      count.fail = false;
+      injector.arm(util::kFaultBatchFrame, count);
+      EXPECT_EQ(engine.search(queries, 1), baseline.results) << ctx;
+      EXPECT_EQ(injector.hits(util::kFaultBatchFrame), queries.size()) << ctx;
+      EXPECT_EQ(engine.last_stats().host_cycles_skipped > 0, !collect) << ctx;
+
+      if (threads == 1) {
+        // Serial shards make the failing hit the victim's fifth frame.
+        util::FaultInjector::Plan fifth;
+        fifth.match_key = kVictim;
+        fifth.fail_on_hit = 5;
+        injector.arm(util::kFaultBatchFrame, fifth);
+        EXPECT_THROW(engine.search(queries, 1), util::InjectedFault) << ctx;
+        EXPECT_EQ(injector.hits(util::kFaultBatchFrame), 5u) << ctx;
+      }
+
+      opt.on_error = OnError::kIsolate;
+      util::FaultInjector::Plan always;
+      always.match_key = kVictim;
+      injector.arm(util::kFaultBatchFrame, always);
+      ApKnnEngine isolating(data, opt);
+      EXPECT_EQ(isolating.search(queries, 1), baseline.results) << ctx;
+      expect_states(isolating.last_stats(), ShardState::kDegraded, ctx);
+      EXPECT_TRUE(isolating.last_stats().same_work(baseline.stats)) << ctx;
+      injector.disarm_all();
+    }
+  }
+}
+
+TEST_F(ChaosControl, CutFrameTimesOutOnTheSameFrame) {
+  // An expired deadline, or a batch.frame fault, stops a frame-bounded run
+  // at the same frame boundary as a whole-frame run, with the prefix of
+  // the frames before it collected.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 727);
+  const auto queries = knn::BinaryDataset::uniform(4, 24, 728);
+  ApKnnEngine engine(data, bed_options(SimulationBackend::kBitParallel));
+  const auto program = engine.program(0);
+  ASSERT_NE(program, nullptr);
+  const std::size_t frame = engine.stream_spec().cycles_per_query();
+  const auto stream =
+      SymbolStreamEncoder(engine.stream_spec()).encode_batch(queries);
+
+  const util::Deadline expired = util::Deadline::after_ms(0);
+  util::RunControl ctl;
+  ctl.deadline = &expired;
+  ctl.checkpoint_period = frame;
+  apsim::BatchSimulator whole(program);
+  apsim::BatchSimulator cut(program);
+  EXPECT_THROW(whole.run(stream, ctl), util::DeadlineExceeded);
+  EXPECT_THROW(cut.run_frames(stream, frame, 1, ctl), util::DeadlineExceeded);
+  EXPECT_EQ(whole.cycle(), frame);
+  EXPECT_EQ(cut.cycle(), frame);
+  EXPECT_GT(cut.cycles_skipped(), 0u);
+  EXPECT_EQ(cut.reports(), test::frame_prefix(whole.reports(), frame, 1));
+
+  util::FaultInjector::Plan second;
+  second.fail_on_hit = 2;
+  util::RunControl idle;
+  idle.checkpoint_period = frame;
+  util::FaultInjector::instance().arm(util::kFaultBatchFrame, second);
+  EXPECT_THROW(whole.run(stream, idle), util::InjectedFault);
+  util::FaultInjector::instance().arm(util::kFaultBatchFrame, second);
+  EXPECT_THROW(cut.run_frames(stream, frame, 1, idle), util::InjectedFault);
+  EXPECT_EQ(whole.cycle(), 2 * frame);
+  EXPECT_EQ(cut.cycle(), 2 * frame);
+  EXPECT_EQ(cut.reports(), test::frame_prefix(whole.reports(), frame, 1));
 }
 
 TEST_F(ChaosControl, TinyDeadlineTimesOutEveryConfiguration) {

@@ -2,8 +2,10 @@
 // MultiplexedKnn must produce bit-identical neighbor lists, EngineStats,
 // AND merged ReportEvent streams at every thread count — the merge walks
 // shards in configuration/frame order, never completion order, so thread
-// scheduling can never show through. These run under TSan in CI
-// (APSS_SANITIZE=thread) to also prove the sharding is race-free.
+// scheduling can never show through. Frame-bounded shards (report stream
+// not collected) must return the same lists and device accounting as
+// whole frames. These run under TSan in CI (APSS_SANITIZE=thread) to also
+// prove the sharding is race-free.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +26,10 @@ struct SearchRun {
 
 SearchRun run_engine(const knn::BinaryDataset& data,
                const knn::BinaryDataset& queries, std::size_t k,
-               EngineOptions opt, std::size_t threads) {
+               EngineOptions opt, std::size_t threads,
+               bool collect_stream = true) {
   opt.threads = threads;
-  opt.collect_report_stream = true;
+  opt.collect_report_stream = collect_stream;
   ApKnnEngine engine(data, opt);
   SearchRun r;
   r.results = engine.search(queries, k);
@@ -117,6 +120,49 @@ TEST(EngineThreads, PackedConfigurationsIdenticalAcrossThreadCounts) {
   opt.max_vectors_per_config = 9;
   opt.queries_per_chunk = 2;
   expect_thread_invariant(data, queries, 4, opt, "packed");
+}
+
+TEST(EngineThreads, FrameBoundedShardsMatchFullFrames) {
+  // Collecting the report stream runs whole frames; without it each
+  // bit-parallel frame stops after its k-th report's cycle. Neighbor lists
+  // and device accounting must not tell the two apart at 1 or 4 threads,
+  // and the host-only skip count must not depend on the thread count.
+  EngineOptions plain;
+  plain.backend = SimulationBackend::kBitParallel;
+  plain.max_vectors_per_config = 7;  // 6 configurations
+  plain.queries_per_chunk = 2;
+  EngineOptions packed = plain;
+  packed.packing_group_size = 4;
+  const auto data = knn::BinaryDataset::uniform(41, 24, 616);
+  const auto queries = knn::BinaryDataset::uniform(9, 24, 617);
+  for (const auto& [name, opt] : {std::pair{"plain", plain},
+                                  std::pair{"packed", packed}}) {
+    for (const std::size_t k : {1, 4, 7}) {
+      const std::string ctx =
+          std::string(name) + " k=" + std::to_string(k);
+      const SearchRun full = run_engine(data, queries, k, opt, 1);
+      EXPECT_EQ(full.stats.host_cycles_skipped, 0u) << ctx;
+      // Device count: every vector reports once per query.
+      EXPECT_EQ(full.stats.report_events, data.size() * queries.size())
+          << ctx;
+      SearchRun first_cut;
+      for (const std::size_t threads : {1, 4}) {
+        const std::string tctx = ctx + " threads=" + std::to_string(threads);
+        const SearchRun cut = run_engine(data, queries, k, opt, threads,
+                                         /*collect_stream=*/false);
+        EXPECT_TRUE(cut.stream.empty()) << tctx;
+        EXPECT_EQ(cut.results, full.results) << tctx;
+        EXPECT_TRUE(cut.stats.same_work(full.stats)) << tctx;
+        EXPECT_GT(cut.stats.host_cycles_skipped, 0u) << tctx;
+        if (threads == 1) {
+          first_cut = cut;
+        } else {
+          EXPECT_EQ(cut.stats, first_cut.stats) << tctx;
+        }
+      }
+      test::expect_valid_knn_results(data, queries, k, full.results, ctx);
+    }
+  }
 }
 
 TEST(EngineThreads, FallbackStatsIdenticalAcrossThreadCounts) {
