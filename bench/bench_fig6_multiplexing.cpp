@@ -40,9 +40,11 @@ int run_feasibility_table(util::BenchReport& report) {
   const auto queries = knn::BinaryDataset::uniform(21, dims, 67);
   constexpr std::size_t kK = 4;
 
-  // Multiplexed path (on the bit-parallel backend, exercising the demux).
-  const core::MultiplexedKnn mux(data, core::kMaxSlices, {},
-                                 core::SimulationBackend::kBitParallel);
+  // Multiplexed layout (on the bit-parallel backend, exercising the demux).
+  core::EngineOptions mux_options;
+  mux_options.backend = core::SimulationBackend::kBitParallel;
+  mux_options.slices = core::kMaxSlices;
+  core::ApKnnEngine mux(data, mux_options);
   const auto mux_results = mux.search(queries, kK);
 
   // Baseline path: one query per frame.
@@ -56,7 +58,7 @@ int run_feasibility_table(util::BenchReport& report) {
   }
 
   const auto mux_place =
-      apsim::place(mux.network(), apsim::DeviceGeometry::one_rank());
+      apsim::place(mux.network(0), apsim::DeviceGeometry::one_rank());
   const auto base_place = apsim::place(baseline_engine.network(0),
                                        apsim::DeviceGeometry::one_rank());
 
@@ -85,8 +87,10 @@ int run_feasibility_table(util::BenchReport& report) {
                           static_cast<std::uint64_t>(base_place.ste_count))
                    .param("mux_stes",
                           static_cast<std::uint64_t>(mux_place.ste_count))
-                   .param("backend",
-                          mux.bit_parallel() ? "bit_parallel" : "fallback"));
+                   .param("backend", mux.backend_stats().multiplexed ==
+                                             mux.configurations()
+                                         ? "bit_parallel"
+                                         : "fallback"));
 
   (void)base_results;
   return agreements == queries.size() ? 0 : 1;

@@ -53,14 +53,27 @@ std::string fmt(const char* f, double v) {
   return buf;
 }
 
+/// One search() under a fresh `deadline_ms` budget (0 = none) that starts
+/// immediately before the call, as the budget of a request would.
+std::vector<std::vector<knn::Neighbor>> timed_search(
+    core::ApKnnEngine& engine, const knn::BinaryDataset& queries,
+    std::size_t k, double deadline_ms) {
+  const util::Deadline deadline = deadline_ms > 0
+                                      ? util::Deadline::after_ms(deadline_ms)
+                                      : util::Deadline{};
+  core::SearchControl control;
+  control.deadline = &deadline;
+  return engine.search(queries, k, control);
+}
+
 /// Best-of-`reps` wall clock for one search configuration.
 double best_search_wall(core::ApKnnEngine& engine,
                         const knn::BinaryDataset& queries, std::size_t k,
-                        int reps) {
+                        int reps, double deadline_ms = 0) {
   double best = 0;
   for (int rep = 0; rep < reps; ++rep) {
     util::Timer timer;
-    engine.search(queries, k);
+    timed_search(engine, queries, k, deadline_ms);
     const double wall = timer.seconds();
     if (rep == 0 || wall < best) {
       best = wall;
@@ -100,13 +113,14 @@ int main(int argc, char** argv) {
 
   // Arm 2: engaged — a deadline that never fires, so every query frame
   // pays the checkpoint (clock read + cancellation load) and nothing else.
-  opt.deadline_ms = 1e9;
+  constexpr double kNeverMs = 1e9;
   core::ApKnnEngine engaged(data, opt);
-  if (engaged.search(queries, k) != expected) {
+  if (timed_search(engaged, queries, k, kNeverMs) != expected) {
     std::cerr << "FAIL: engaged run control changed the neighbors\n";
     return 1;
   }
-  const double engaged_wall = best_search_wall(engaged, queries, k, reps);
+  const double engaged_wall =
+      best_search_wall(engaged, queries, k, reps, kNeverMs);
   const double overhead_pct =
       plain_wall > 0 ? (engaged_wall - plain_wall) / plain_wall * 100.0 : 0.0;
 
@@ -114,14 +128,13 @@ int main(int argc, char** argv) {
   // Elapsed minus deadline is the enforcement lag (at most about one query
   // frame plus wind-down, since checkpoints sit on frame boundaries).
   const double deadline_ms = std::max(0.05, plain_wall * 1e3 / 2.0);
-  opt.deadline_ms = deadline_ms;
   opt.on_error = core::OnError::kIsolate;
   core::ApKnnEngine bounded(data, opt);
   double overshoot_ms = 0;
   std::size_t timed_out = 0;
   for (int rep = 0; rep < reps; ++rep) {
     util::Timer timer;
-    bounded.search(queries, k);
+    timed_search(bounded, queries, k, deadline_ms);
     const double elapsed_ms = timer.seconds() * 1e3 - deadline_ms;
     if (rep == 0 || elapsed_ms < overshoot_ms) {
       overshoot_ms = elapsed_ms;

@@ -176,8 +176,6 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
   flags.engine.apply(&opt);
   opt.packing_group_size = flags.packing_group;
   opt.max_vectors_per_config = flags.max_per_config;
-  opt.deadline_ms = flags.deadline_ms;
-  opt.cancel = &g_cancel;
   opt.on_error = flags.on_error;
   opt.max_retries = flags.max_retries;
   core::ApKnnEngine engine(data, opt);
@@ -259,7 +257,14 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
   auto queries = knn::perturbed_queries(data, 1, 0.1, seed + 1);
   std::vector<std::vector<knn::Neighbor>> results;
   try {
-    results = engine.search(queries, k);
+    // The --deadline-ms budget starts with the search, not with the compile.
+    const util::Deadline deadline =
+        flags.deadline_ms > 0 ? util::Deadline::after_ms(flags.deadline_ms)
+                              : util::Deadline{};
+    core::SearchControl control;
+    control.deadline = &deadline;
+    control.cancel = &g_cancel;
+    results = engine.search(queries, k, control);
   } catch (const util::DeadlineExceeded& ex) {
     std::fprintf(stderr, "deadline exceeded: %s\n", ex.what());
     return kExitDeadline;

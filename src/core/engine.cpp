@@ -10,6 +10,7 @@
 
 #include "anml/anml_io.hpp"
 #include "core/batch_compile.hpp"
+#include "core/opt/stream_multiplexing.hpp"
 #include "core/temporal_decode.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fnv.hpp"
@@ -17,9 +18,9 @@
 namespace apss::core {
 namespace {
 
-/// Builder tag: names the cache slot files and salts the compile-input key,
-/// so engine artifacts and multiplexed artifacts can never satisfy each
-/// other even from a shared cache directory.
+/// Builder tag: names the cache slot files and salts the compile-input key.
+/// Layouts (plain, packed, multiplexed) share it; the key hashes the layout
+/// options, so their artifacts can never satisfy each other.
 constexpr std::string_view kEngineBuilder = "apss-knn-engine";
 
 /// Worst-wins ordering for reducing shard outcomes to one per-configuration
@@ -76,6 +77,13 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   if (dataset_.empty()) {
     throw std::invalid_argument("ApKnnEngine: empty dataset");
   }
+  if (options_.slices == 0 || options_.slices > kMaxSlices) {
+    throw std::invalid_argument("ApKnnEngine: slices must be 1..7");
+  }
+  if (options_.slices > 1 && options_.packing_group_size > 0) {
+    throw std::invalid_argument(
+        "ApKnnEngine: vector packing and multiplexing do not combine");
+  }
   // Resolve the worker pool once: an explicit pool wins; otherwise
   // `threads` picks serial (1), the shared process-wide pool (0), or a
   // private pool sized so that N threads total run this engine's shards
@@ -104,7 +112,8 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   // share, so the prototype is a WORST-CASE group (alternating all-zeros /
   // all-ones rows: two value states at every dimension once the group holds
   // two vectors) — capacity must never overcommit the board just because
-  // the first group happened to share more than later ones.
+  // the first group happened to share more than later ones. A multiplexed
+  // vector is `slices` plain macros, one per bit slice.
   {
     anml::AutomataNetwork prototype("prototype");
     std::size_t vectors_per_copy = 1;
@@ -117,6 +126,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
         }
       }
       append_packed_group(prototype, worst, 0, vectors_per_copy, pack_opt);
+    } else if (options_.slices > 1) {
+      build_multiplexed_network(prototype, dataset_, options_.slices,
+                                options_.macro, 0, 1);
     } else {
       append_hamming_macro(prototype, dataset_.vector(0), 0, options_.macro);
     }
@@ -171,8 +183,8 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     p.count = std::min(capacity_, dataset_.size() - p.begin);
     if (cache_enabled) {
       CachedProgram cached =
-          try_load_program(artifact_cache_file(c), artifact_key(c), p.count,
-                           dataset_.dims());
+          try_load_program(artifact_cache_file(c), artifact_key(c),
+                           p.count * options_.slices, dataset_.dims());
       cache_stats[c].record(cached.outcome);
       cache_stats[c].io_retries += cached.io_retries;
       cache_stats[c].quarantined += cached.quarantined ? 1 : 0;
@@ -274,6 +286,16 @@ void ApKnnEngine::build_network(
         packed_layouts->push_back(std::move(layout));
       }
     }
+  } else if (options_.slices > 1) {
+    std::vector<MacroLayout> layouts =
+        build_multiplexed_network(*p.network, dataset_, options_.slices,
+                                  options_.macro, p.begin, p.count);
+    if (layouts.front().collector_levels != spec_.collector_levels) {
+      throw std::logic_error("ApKnnEngine: inconsistent collector depth");
+    }
+    if (hamming_layouts != nullptr) {
+      *hamming_layouts = std::move(layouts);
+    }
   } else {
     for (std::size_t i = 0; i < p.count; ++i) {
       MacroLayout layout = append_hamming_macro(
@@ -311,6 +333,7 @@ std::uint64_t ApKnnEngine::artifact_key(std::size_t i) const {
   hash_macro_options(hasher, options_.macro);
   hasher.update_u64(options_.packing_group_size);
   hasher.update(static_cast<std::uint8_t>(options_.packing_style));
+  hasher.update_u64(options_.slices);
   hash_sim_options(hasher, apsim::SimOptions::from(options_.device.features));
   return hasher.digest();
 }
@@ -368,24 +391,22 @@ EngineStats ApKnnEngine::project(std::size_t query_count) const {
   s.vectors_per_config = capacity_;
   s.cycles_per_query = spec_.cycles_per_query();
   s.queries = query_count;
-  s.simulated_cycles = query_count * s.cycles_per_query * s.configurations;
+  s.simulated_cycles =
+      frames_for(query_count) * s.cycles_per_query * s.configurations;
   s.backend = compile_stats_;
   return s;
 }
 
 double ApKnnEngine::report_bandwidth_gbps() const {
   // Sec. VI-C: 32*(n + d) bits conveyed per query, one query every
-  // cycles_per_query cycles (the paper uses 2d; we use our exact frame).
-  const double bits = 32.0 * (static_cast<double>(capacity_) +
-                              static_cast<double>(dataset_.dims()));
+  // cycles_per_query cycles (the paper uses 2d; we use our exact frame). A
+  // multiplexed frame carries n reports per slice.
+  const double bits =
+      32.0 * (static_cast<double>(capacity_ * options_.slices) +
+              static_cast<double>(dataset_.dims()));
   const double seconds = static_cast<double>(spec_.cycles_per_query()) *
                          options_.device.timing.cycle_seconds();
   return bits / seconds / 1e9;
-}
-
-std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
-    const knn::BinaryDataset& queries, std::size_t k) {
-  return search(queries, k, SearchControl{});
 }
 
 std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
@@ -398,18 +419,21 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     throw std::invalid_argument("ApKnnEngine::search: k must be >= 1");
   }
   const std::size_t q = queries.size();
+  const std::size_t slices = options_.slices;
+  const std::size_t frames = frames_for(q);
   stats_ = project(q);
   report_stream_.clear();
 
-  // One shard per (configuration, query-frame range). queries_per_chunk
-  // caps the shard size; with a pool the size is refined downward so every
-  // thread gets several shards to balance. The shard list itself — and
-  // therefore every shard's simulation — is a pure function of the inputs,
-  // never of which worker ran it.
+  // One shard per (configuration, query-frame range); a frame carries
+  // `slices` queries. queries_per_chunk caps the frames per shard; with a
+  // pool the size is refined downward so every thread gets several shards
+  // to balance. The shard list itself — and therefore every shard's
+  // simulation — is a pure function of the inputs, never of which worker
+  // ran it.
   std::size_t chunk = std::max<std::size_t>(1, options_.queries_per_chunk);
   if (pool_ != nullptr) {
     const std::size_t target_shards = 4 * (pool_->size() + 1);
-    const std::size_t total_frames = q * partitions_.size();
+    const std::size_t total_frames = frames * partitions_.size();
     chunk = std::min(
         chunk,
         std::max<std::size_t>(
@@ -417,7 +441,9 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   }
   struct Shard {
     std::size_t config = 0;
-    std::size_t q_begin = 0;
+    std::size_t frame_begin = 0;
+    std::size_t frames = 0;
+    std::size_t q_begin = 0;  ///< frame_begin * slices
     std::size_t q_count = 0;
     /// Shard-local ReportEvent buffer, rebased to the configuration's full
     /// query-stream timeline after decoding.
@@ -429,34 +455,35 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   };
   std::vector<Shard> shards;
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
-    for (std::size_t q_begin = 0; q_begin < q; q_begin += chunk) {
-      shards.push_back({c, q_begin, std::min(chunk, q - q_begin), {}, {}});
+    for (std::size_t f = 0; f < frames; f += chunk) {
+      Shard& shard = shards.emplace_back();
+      shard.config = c;
+      shard.frame_begin = f;
+      shard.frames = std::min(chunk, frames - f);
+      shard.q_begin = f * slices;
+      shard.q_count =
+          std::min(q, (f + shard.frames) * slices) - shard.q_begin;
     }
   }
 
   const SymbolStreamEncoder encoder(spec_);
+  const MultiplexedStreamEncoder mux_encoder(spec_);
   // Bit-parallel shards stop each frame once its k-th report's cycle is
   // done: the temporal sort makes later reports irrelevant to the top-k.
-  // A caller that keeps the raw stream gets whole frames instead.
-  const std::size_t keep = options_.collect_report_stream
+  // A multiplexed frame's k-th report does not decide each slice's top-k,
+  // and a caller that keeps the raw stream wants it whole: both run whole
+  // frames.
+  const std::size_t keep = options_.collect_report_stream || slices > 1
                                ? std::numeric_limits<std::size_t>::max()
                                : k;
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
-  // Fault-tolerance plumbing (docs/ROBUSTNESS.md). The deadline starts
-  // here — it budgets the whole search — and every shard polls it (plus the
-  // cancellation token) at query-frame boundaries inside the simulators.
-  // Per-shard outcomes are recorded into a pre-sized vector (no locking,
-  // no ordering dependence) and reduced per configuration after the run.
-  util::Deadline deadline;
-  if (control.deadline != nullptr) {
-    deadline = *control.deadline;
-  } else if (options_.deadline_ms > 0) {
-    deadline = util::Deadline::after_ms(options_.deadline_ms);
-  }
-  const util::CancellationToken* cancel =
-      control.cancel != nullptr ? control.cancel : options_.cancel;
+  // Fault-tolerance plumbing (docs/ROBUSTNESS.md). Every shard polls the
+  // caller's deadline and cancellation token at query-frame boundaries
+  // inside the simulators. Per-shard outcomes are recorded into a
+  // pre-sized vector (no locking, no ordering dependence) and reduced per
+  // configuration after the run.
   struct ShardOutcome {
     ShardState state = ShardState::kOk;
     std::string error;
@@ -512,9 +539,15 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         sim_is_batch = use_batch;
       }
       stream.clear();
-      stream.reserve(shard.q_count * spec_.cycles_per_query());
-      for (std::size_t i = 0; i < shard.q_count; ++i) {
-        encoder.append_query(queries.row(shard.q_begin + i), stream);
+      stream.reserve(shard.frames * spec_.cycles_per_query());
+      const std::size_t q_end = shard.q_begin + shard.q_count;
+      for (std::size_t b = shard.q_begin; b < q_end; b += slices) {
+        if (slices == 1) {
+          encoder.append_query(queries.row(b), stream);
+        } else {
+          mux_encoder.append_group(queries, b, std::min(slices, q_end - b),
+                                   stream);
+        }
       }
       if (batch != nullptr) {
         shard.events =
@@ -526,17 +559,17 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         shard.cycles_skipped = 0;
         shard.reports_skipped = 0;
       }
-      const TemporalSortDecoder decoder(spec_, shard.q_count);
+      const TemporalSortDecoder decoder(spec_, shard.q_count, slices);
       shard.partial = decoder.decode(shard.events, k);
       apsim::rebase_events(shard.events,
-                           shard.q_begin * spec_.cycles_per_query());
+                           shard.frame_begin * spec_.cycles_per_query());
     };
     for (std::size_t t = lo; t < hi; ++t) {
       Shard& shard = shards[t];
       const Partition& part = partitions_[shard.config];
       util::RunControl ctl;
-      ctl.deadline = &deadline;
-      ctl.cancel = cancel;
+      ctl.deadline = control.deadline;
+      ctl.cancel = control.cancel;
       ctl.checkpoint_period = spec_.cycles_per_query();
       ctl.fault_key = static_cast<std::int64_t>(shard.config);
       if (options_.on_error == OnError::kFailFast) {
@@ -649,7 +682,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   }
   const std::size_t surviving = stats_.surviving_configurations();
   if (surviving != partitions_.size()) {
-    stats_.simulated_cycles = q * stats_.cycles_per_query * surviving;
+    stats_.simulated_cycles = frames * stats_.cycles_per_query * surviving;
   }
   const std::size_t want = std::min(k, dataset_.size());
   for (auto& list : results) {

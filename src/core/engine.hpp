@@ -1,7 +1,8 @@
 #pragma once
 // End-to-end AP kNN engine (Sec. III): partitions a dataset into
 // board-configuration-sized chunks, builds one Hamming+sorting macro per
-// vector, streams queries through a cycle-accurate simulation of every
+// vector (per vector and bit slice under the Sec. VI-B multiplexed layout),
+// streams queries through a cycle-accurate simulation of every
 // configuration, and merges per-configuration partial results on the host —
 // exactly the partial-reconfiguration workflow of Sec. III-C.
 
@@ -174,6 +175,15 @@ struct EngineOptions {
   /// streams, report codes and decoding are unchanged; the packed network
   /// just spends fewer STEs per vector.
   std::size_t packing_group_size = 0;
+  /// Sec. VI-B symbol-stream multiplexing (Fig. 6) when > 1: each vector
+  /// gets one macro per bit slice (report code MuxReportCode::encode(id,
+  /// slice)) and each query frame carries up to `slices` queries, so q
+  /// queries take ceil(q / slices) frames per configuration. Capacity,
+  /// partitioning, the artifact cache, sharding and the failure policy are
+  /// the ones every layout uses. 1 (default) is the plain design; values
+  /// outside 1..kMaxSlices, or > 1 together with packing_group_size, throw
+  /// std::invalid_argument.
+  std::size_t slices = 1;
   /// Collector style for packed configurations. kTree (default) stays
   /// routable at high dimensionality; kFlat reproduces the paper's naive
   /// construction (fan-in = dims, "places but only partially routes").
@@ -186,17 +196,6 @@ struct EngineOptions {
   /// EngineStats::backend.artifact. Empty (default) disables the cache; the
   /// kCycleAccurate backend ignores it (nothing is compiled).
   std::string artifact_cache_dir;
-  /// Wall-clock budget for one search() in milliseconds (0 = unlimited).
-  /// The deadline starts when search() is entered and is polled
-  /// cooperatively at query-frame boundaries, so an expired deadline
-  /// terminates within one frame of extra simulation. Expiry surfaces as
-  /// util::DeadlineExceeded (kFailFast) or ShardState::kTimedOut
-  /// (kIsolate/kRetry).
-  double deadline_ms = 0;
-  /// Optional external cancellation, polled at the same checkpoints.
-  /// Surfaces as util::OperationCancelled / ShardState::kCancelled. The
-  /// token must outlive every search() that uses it.
-  const util::CancellationToken* cancel = nullptr;
   /// Failure policy for search() shards (docs/ROBUSTNESS.md).
   OnError on_error = OnError::kFailFast;
   /// kRetry only: extra attempts per shard before the degrade/fail path.
@@ -207,10 +206,13 @@ struct EngineOptions {
 struct EngineStats {
   std::size_t configurations = 0;
   std::size_t vectors_per_config = 0;  ///< capacity (last config may be smaller)
-  std::size_t cycles_per_query = 0;    ///< per configuration pass
+  std::size_t cycles_per_query = 0;    ///< one query frame, per configuration
   std::size_t queries = 0;
-  std::size_t simulated_cycles = 0;  ///< total across configurations
-  /// Reports the DEVICE emits: every live lane reports once per frame.
+  /// Total across configurations: ceil(queries / slices) frames of
+  /// cycles_per_query each, per configuration.
+  std::size_t simulated_cycles = 0;
+  /// Reports the DEVICE emits: every live lane (one per vector, or per
+  /// vector and slice when multiplexed) reports once per frame.
   /// Counts the reports a frame-bounded shard skipped as well as the ones
   /// it emitted, so it does not depend on how the host simulated.
   std::size_t report_events = 0;
@@ -259,7 +261,7 @@ struct EngineStats {
            report_events == o.report_events;
   }
 
-  /// Device busy time: every configuration streams every query.
+  /// Device busy time: every configuration streams every query frame.
   double compute_seconds(const apsim::DeviceTiming& t) const {
     return static_cast<double>(simulated_cycles) * t.cycle_seconds();
   }
@@ -275,13 +277,14 @@ struct EngineStats {
   }
 };
 
-/// Per-call overrides for one search(): an external deadline replacing the
-/// options-derived EngineOptions::deadline_ms budget, and an external
-/// cancellation token checked instead of EngineOptions::cancel. Both
-/// pointers must outlive the call; null fields fall back to the options.
-/// This is what lets a long-lived resident engine (the serving layer's
-/// workers) propagate PER-REQUEST budgets into the RunControl checkpoints
-/// without rebuilding the engine per request.
+/// Per-call deadline and cancellation for one search(), polled at
+/// query-frame boundaries: an expired deadline surfaces as
+/// util::DeadlineExceeded (kFailFast) or ShardState::kTimedOut
+/// (kIsolate/kRetry), a cancelled token as util::OperationCancelled or
+/// ShardState::kCancelled. Null fields mean no budget / not cancellable;
+/// both pointers must outlive the call. Per call rather than per engine, so
+/// a long-lived engine (the serving layer's workers) carries per-request
+/// budgets into the RunControl checkpoints.
 struct SearchControl {
   const util::Deadline* deadline = nullptr;
   const util::CancellationToken* cancel = nullptr;
@@ -295,14 +298,8 @@ class ApKnnEngine {
   /// Exact kNN via simulated AP execution. Returns ascending-distance
   /// neighbor lists (global ids); fills `last_stats()`.
   std::vector<std::vector<knn::Neighbor>> search(
-      const knn::BinaryDataset& queries, std::size_t k);
-
-  /// search() with per-call deadline/cancellation overrides (see
-  /// SearchControl). search(queries, k) is exactly this with an empty
-  /// control.
-  std::vector<std::vector<knn::Neighbor>> search(
       const knn::BinaryDataset& queries, std::size_t k,
-      const SearchControl& control);
+      const SearchControl& control = {});
 
   const EngineStats& last_stats() const noexcept { return stats_; }
 
@@ -320,6 +317,11 @@ class ApKnnEngine {
   }
 
   std::size_t configurations() const noexcept { return partitions_.size(); }
+  /// Query frames each configuration streams for `q` queries:
+  /// ceil(q / slices) — the Sec. VI-B throughput gain when multiplexed.
+  std::size_t frames_for(std::size_t q) const noexcept {
+    return (q + options_.slices - 1) / options_.slices;
+  }
   std::size_t capacity_per_config() const noexcept { return capacity_; }
   const StreamSpec& stream_spec() const noexcept { return spec_; }
 
@@ -367,8 +369,8 @@ class ApKnnEngine {
   /// workloads); mirrors the accounting search() performs.
   EngineStats project(std::size_t query_count) const;
 
-  /// Sustained report bandwidth model of Sec. VI-C: 32*(n+d) bits per query
-  /// every cycles_per_query; returns Gbit/s.
+  /// Sustained report bandwidth model of Sec. VI-C: 32*(n*slices + d) bits
+  /// per query frame every cycles_per_query; returns Gbit/s.
   double report_bandwidth_gbps() const;
 
  private:

@@ -59,12 +59,10 @@ KnnServer::KnnServer(knn::BinaryDataset dataset, ServerOptions options)
         "KnnServer: max_batch, max_inflight and workers must be >= 1");
   }
   // The serving core owns the robustness knobs: per-request deadlines and
-  // the watchdog replace the engine-level budget/token, and kRetry makes a
-  // faulted shard degrade to the cycle-accurate reference (exact answers)
-  // before the batch is failed.
+  // the watchdog reach the engine through each batch's SearchControl, and
+  // kRetry makes a faulted shard degrade to the cycle-accurate reference
+  // (exact answers) before the batch is failed.
   core::EngineOptions engine_options = options_.engine;
-  engine_options.deadline_ms = 0;
-  engine_options.cancel = nullptr;
   engine_options.on_error = core::OnError::kRetry;
   engine_options.collect_report_stream = false;
   // Workers are constructed sequentially, so with artifact_cache_dir set

@@ -55,10 +55,10 @@ namespace apss::serve {
 
 struct ServerOptions {
   /// Worker-engine configuration (backend, lane width, threads, artifact
-  /// cache, packing ...). The server overrides the robustness fields:
-  /// on_error is forced to kRetry (degrade, never silently lose answers),
-  /// deadline_ms/cancel are replaced by the per-request machinery, and
-  /// collect_report_stream is disabled. threads applies PER WORKER ENGINE
+  /// cache, packing, slices ...). The server overrides two fields: on_error
+  /// is forced to kRetry (degrade, never silently lose answers) and
+  /// collect_report_stream is disabled. Per-request deadlines and
+  /// cancellation reach each batch's search() through core::SearchControl. threads applies PER WORKER ENGINE
   /// (1 = serial worker; scale out via `workers`).
   core::EngineOptions engine;
   /// Neighbors returned per query (clamped to the dataset size).

@@ -24,6 +24,7 @@
 #include "apss_test_support.hpp"
 #include "core/batch_compile.hpp"
 #include "core/design.hpp"
+#include "core/engine.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
 #include "core/stream.hpp"
@@ -323,6 +324,51 @@ TEST(LaneWidthSweep, MultiplexedFamilyRunsAtEveryWidth) {
   expect_all_widths(program, stream, expected, "multiplexed");
   expect_bounded_all_widths(program, stream, spec.cycles_per_query(),
                             expected, "multiplexed");
+
+  // The same dataset as a multi-configuration multiplexed engine: at every
+  // width (SIMD and forced-portable) and at 1 and 4 threads the shards,
+  // demux and merge must reproduce the cycle-accurate engine's lists and
+  // merged stream, and the device accounting must be the projected one.
+  const auto queries = test::random_dataset(rng, 9, dims);
+  core::EngineOptions opt;
+  opt.slices = slices;
+  opt.max_vectors_per_config = 20;  // 4 configurations
+  opt.queries_per_chunk = 1;
+  opt.collect_report_stream = true;
+  opt.threads = 1;
+  core::ApKnnEngine cycle(data, opt);
+  const auto want = cycle.search(queries, 5);
+  const core::EngineStats& want_stats = cycle.last_stats();
+  ASSERT_EQ(want_stats.configurations, 4u);
+  const core::EngineStats model = cycle.project(queries.size());
+  core::EngineStats device = want_stats;  // minus what only search() fills
+  device.report_events = 0;
+  device.shard_status.clear();
+  EXPECT_EQ(device, model);
+  EXPECT_EQ(want_stats.report_events, data.size() * slices * 2);
+  test::expect_valid_knn_results(data, queries, 5, want, "mux engine");
+  opt.backend = core::SimulationBackend::kBitParallel;
+  const auto check_engines = [&](const std::string& context) {
+    for (const LaneWidth w : kWidths) {
+      for (const std::size_t threads : {1, 4}) {
+        const std::string ctx = context + " width=" + to_string(w) +
+                                " threads=" + std::to_string(threads);
+        opt.lane_width = w;
+        opt.threads = threads;
+        core::ApKnnEngine bit(data, opt);
+        ASSERT_EQ(bit.backend_stats().multiplexed, 4u) << ctx;
+        EXPECT_EQ(bit.search(queries, 5), want) << ctx;
+        EXPECT_EQ(bit.last_report_stream(), cycle.last_report_stream())
+            << ctx;
+        EXPECT_TRUE(bit.last_stats().same_work(want_stats)) << ctx;
+        EXPECT_EQ(bit.last_stats().simulated_cycles, model.simulated_cycles)
+            << ctx;
+      }
+    }
+  };
+  check_engines("mux engine");
+  ForcePortable portable;
+  check_engines("mux engine portable");
 }
 
 // --- Cross-width property fuzz -----------------------------------------------

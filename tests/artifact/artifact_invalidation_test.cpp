@@ -15,7 +15,6 @@
 #include "artifact/artifact.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/engine.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 
 namespace apss {
 namespace {
@@ -183,40 +182,50 @@ TEST(ArtifactInvalidation, MultiplexedCacheFlow) {
   auto data = test::random_dataset(rng, 8, 12);
   const auto queries = test::random_dataset(rng, 10, 12);
   const std::string dir = fresh_dir("mux_flow");
+  const auto mux_options = [](std::size_t slices, const std::string& cache) {
+    core::EngineOptions opt = bit_options(cache);
+    opt.slices = slices;
+    return opt;
+  };
 
-  const core::MultiplexedKnn cold(data, 7, {},
-                                  core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(cold.artifact_outcome(), core::ArtifactOutcome::kMiss);
-  ASSERT_TRUE(cold.bit_parallel());
+  core::ApKnnEngine cold(data, mux_options(7, dir));
+  EXPECT_EQ(cache_stats(cold).misses, 1u);
+  ASSERT_EQ(cold.backend_stats().multiplexed, 1u);
   const auto expected = cold.search(queries, 2);
 
-  const core::MultiplexedKnn warm(data, 7, {},
-                                  core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(warm.artifact_outcome(), core::ArtifactOutcome::kHit);
-  ASSERT_TRUE(warm.bit_parallel());
+  core::ApKnnEngine warm(data, mux_options(7, dir));
+  EXPECT_EQ(cache_stats(warm).hits, 1u);
+  ASSERT_EQ(warm.bit_parallel_configurations(), 1u);
   EXPECT_EQ(warm.search(queries, 2), expected);
 
   // Slice count is part of the key: same data, different slices must not
   // serve the cached 7-slice program (slot collision => invalidation).
-  const core::MultiplexedKnn other(data, 3, {},
-                                   core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(other.artifact_outcome(), core::ArtifactOutcome::kInvalidated);
-  ASSERT_TRUE(other.bit_parallel());
+  core::ApKnnEngine other(data, mux_options(3, dir));
+  EXPECT_EQ(cache_stats(other).invalidations, 1u);
+  ASSERT_EQ(other.bit_parallel_configurations(), 1u);
   test::expect_valid_knn_results(data, queries, 2, other.search(queries, 2),
                                  "3-slice");
 
-  // Dataset mutation invalidates as well (slot now holds the 3-slice key).
+  // Dataset mutation invalidates as well (slot now holds the 3-slice key),
+  // and the rejection says why.
   data.set(0, 0, !data.get(0, 0));
-  const core::MultiplexedKnn mutated(data, 3, {},
-                                     core::SimulationBackend::kBitParallel,
-                                     dir);
-  EXPECT_EQ(mutated.artifact_outcome(), core::ArtifactOutcome::kInvalidated);
-  EXPECT_FALSE(mutated.artifact_detail().empty());
+  const core::ApKnnEngine probe(data, mux_options(3, ""));
+  const core::CachedProgram stale =
+      core::try_load_program(other.artifact_cache_file(0),
+                             probe.artifact_key(0), data.size() * 3,
+                             data.dims());
+  EXPECT_EQ(stale.outcome, core::ArtifactOutcome::kInvalidated);
+  EXPECT_FALSE(stale.detail.empty());
+  core::ApKnnEngine mutated(data, mux_options(3, dir));
+  EXPECT_EQ(cache_stats(mutated).invalidations, 1u);
+
+  // The plain layout shares the builder tag and slot but never the key.
+  core::ApKnnEngine plain(data, mux_options(1, dir));
+  EXPECT_EQ(cache_stats(plain).invalidations, 1u);
+  EXPECT_EQ(plain.backend_stats().hamming, 1u);
 
   // Without a cache directory the whole machinery stays off.
-  const core::MultiplexedKnn off(data, 3, {},
-                                 core::SimulationBackend::kBitParallel);
-  EXPECT_EQ(off.artifact_outcome(), core::ArtifactOutcome::kDisabled);
+  EXPECT_FALSE(cache_stats(probe).any());
 }
 
 }  // namespace

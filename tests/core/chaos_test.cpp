@@ -2,8 +2,9 @@
 // every failure policy and differentially asserts the fault-isolation
 // contract — surviving shards return results and merged ReportEvent
 // streams BIT-IDENTICAL to an uninjected run, at 1 and 4 threads. Faults
-// are keyed by configuration / frame index, so which shard fails never
-// depends on thread scheduling. Runs under TSan in CI (label: chaos).
+// are keyed by configuration, so which shard fails never depends on thread
+// scheduling. The multiplexed layout runs through the same policy. Runs
+// under TSan in CI (label: chaos).
 
 #include <gtest/gtest.h>
 
@@ -44,21 +45,22 @@ struct SearchRun {
 
 SearchRun run_engine(const knn::BinaryDataset& data,
                const knn::BinaryDataset& queries, std::size_t k,
-               EngineOptions opt, std::size_t threads) {
+               EngineOptions opt, std::size_t threads,
+               const SearchControl& control = {}) {
   opt.threads = threads;
   opt.collect_report_stream = true;
   ApKnnEngine engine(data, opt);
   SearchRun r;
-  r.results = engine.search(queries, k);
+  r.results = engine.search(queries, k, control);
   r.stream = engine.last_report_stream();
   r.stats = engine.last_stats();
   return r;
 }
 
 /// The 4-configuration test bed shared by the engine matrix: report_code
-/// is the GLOBAL vector id, so configuration c owns codes
-/// [c * 7, (c + 1) * 7) and dropping a configuration from the baseline
-/// stream is a pure filter.
+/// carries the GLOBAL vector id (MuxReportCode-packed when multiplexed), so
+/// configuration c owns vectors [c * 7, (c + 1) * 7) and dropping a
+/// configuration from the baseline stream is a pure filter.
 constexpr std::size_t kCap = 7;
 constexpr std::size_t kVectors = 26;  // 4 configurations (7+7+7+5)
 constexpr std::size_t kConfigs = 4;
@@ -75,10 +77,13 @@ EngineOptions bed_options(SimulationBackend backend) {
 /// Baseline stream minus every event of configuration `config` — what a
 /// fault-isolated run must emit when that configuration is lost.
 std::vector<apsim::ReportEvent> without_config(
-    const std::vector<apsim::ReportEvent>& stream, std::size_t config) {
+    const std::vector<apsim::ReportEvent>& stream, std::size_t config,
+    std::size_t slices = 1) {
   std::vector<apsim::ReportEvent> out;
   for (const apsim::ReportEvent& e : stream) {
-    if (e.report_code / kCap != config) {
+    const std::uint32_t id =
+        slices > 1 ? MuxReportCode::vector_id(e.report_code) : e.report_code;
+    if (id / kCap != config) {
       out.push_back(e);
     }
   }
@@ -120,28 +125,41 @@ std::vector<knn::Neighbor> remap_without_config(
 }
 
 void expect_states(const EngineStats& stats, ShardState victim_state,
-                   const std::string& ctx) {
-  ASSERT_EQ(stats.shard_status.size(), kConfigs) << ctx;
-  for (std::size_t c = 0; c < kConfigs; ++c) {
+                   const std::string& ctx, std::size_t configs = kConfigs) {
+  ASSERT_EQ(stats.shard_status.size(), configs) << ctx;
+  for (std::size_t c = 0; c < configs; ++c) {
     const ShardState want = c == static_cast<std::size_t>(kVictim)
                                 ? victim_state
                                 : ShardState::kOk;
     EXPECT_EQ(stats.shard_status[c].state, want) << ctx << " config " << c;
   }
   EXPECT_FALSE(stats.shard_status[kVictim].error.empty()) << ctx;
+  if (victim_state == ShardState::kDegraded) {
+    EXPECT_GE(stats.shard_status[kVictim].retries, 1u) << ctx;
+  }
 }
 
 /// The heart of the matrix: arm `site` (keyed to the victim configuration,
 /// persistent), search under `policy` at 1 and 4 threads, and check the
-/// survivors against the uninjected baseline.
+/// survivors against the uninjected baseline. `slices` > 1 runs the
+/// multiplexed layout on the same bed.
 void expect_isolation(const knn::BinaryDataset& data,
                       const knn::BinaryDataset& queries,
                       SimulationBackend backend, std::string_view site,
                       OnError policy, ShardState victim_state,
                       const std::string& ctx,
-                      apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto) {
+                      apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto,
+                      std::size_t slices = 1) {
   EngineOptions opt = bed_options(backend);
   opt.lane_width = lane_width;
+  opt.slices = slices;
+  if (slices > 1) {
+    // One frame per shard at any thread count, so the per-configuration
+    // retry sums compare across thread counts.
+    opt.queries_per_chunk = 1;
+  }
+  const std::size_t configs = (data.size() + kCap - 1) / kCap;
+  const std::size_t frames = (queries.size() + slices - 1) / slices;
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
   ASSERT_FALSE(baseline.stream.empty()) << ctx;
 
@@ -153,13 +171,14 @@ void expect_isolation(const knn::BinaryDataset& data,
   const bool survives = victim_state == ShardState::kOk ||
                         victim_state == ShardState::kDegraded;
   const auto want_stream =
-      survives ? baseline.stream : without_config(baseline.stream, kVictim);
+      survives ? baseline.stream
+               : without_config(baseline.stream, kVictim, slices);
   const knn::BinaryDataset survivors = without_config_data(data, kVictim);
   SearchRun first;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const std::string tctx = ctx + " threads=" + std::to_string(threads);
     const SearchRun run = run_engine(data, queries, 4, opt, threads);
-    expect_states(run.stats, victim_state, tctx);
+    expect_states(run.stats, victim_state, tctx, configs);
     EXPECT_EQ(run.stream, want_stream) << tctx;
     if (survives) {
       EXPECT_EQ(run.results, baseline.results) << tctx;
@@ -175,10 +194,10 @@ void expect_isolation(const knn::BinaryDataset& data,
       }
     }
     EXPECT_EQ(run.stats.surviving_configurations(),
-              survives ? kConfigs : kConfigs - 1)
+              survives ? configs : configs - 1)
         << tctx;
     EXPECT_EQ(run.stats.simulated_cycles,
-              queries.size() * run.stats.cycles_per_query *
+              frames * run.stats.cycles_per_query *
                   run.stats.surviving_configurations())
         << tctx;
     if (threads == 1) {
@@ -192,7 +211,7 @@ void expect_isolation(const knn::BinaryDataset& data,
       ASSERT_EQ(run.stats.shard_status.size(),
                 first.stats.shard_status.size())
           << tctx;
-      for (std::size_t c = 0; c < kConfigs; ++c) {
+      for (std::size_t c = 0; c < configs; ++c) {
         EXPECT_EQ(run.stats.shard_status[c].state,
                   first.stats.shard_status[c].state)
             << tctx << " config " << c;
@@ -434,10 +453,13 @@ TEST_F(ChaosControl, TinyDeadlineTimesOutEveryConfiguration) {
   const auto queries = knn::BinaryDataset::uniform(6, 24, 716);
   EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
   opt.on_error = OnError::kIsolate;
-  opt.deadline_ms = 1e-4;  // expires before the first frame completes
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const auto start = std::chrono::steady_clock::now();
-    const SearchRun run = run_engine(data, queries, 4, opt, threads);
+    // Expires before the first frame completes.
+    const util::Deadline deadline = util::Deadline::after_ms(1e-4);
+    SearchControl control;
+    control.deadline = &deadline;
+    const SearchRun run = run_engine(data, queries, 4, opt, threads, control);
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
@@ -459,10 +481,12 @@ TEST_F(ChaosControl, FailFastDeadlineThrows) {
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 717);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 718);
   EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  opt.deadline_ms = 1e-4;
   opt.threads = 1;
   ApKnnEngine engine(data, opt);
-  EXPECT_THROW(engine.search(queries, 4), util::DeadlineExceeded);
+  const util::Deadline deadline = util::Deadline::after_ms(1e-4);
+  SearchControl control;
+  control.deadline = &deadline;
+  EXPECT_THROW(engine.search(queries, 4, control), util::DeadlineExceeded);
 }
 
 TEST_F(ChaosControl, PreCancelledTokenCancelsEveryConfiguration) {
@@ -471,14 +495,16 @@ TEST_F(ChaosControl, PreCancelledTokenCancelsEveryConfiguration) {
   util::CancellationToken token;
   token.request_cancel();
   EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  opt.cancel = &token;
+  SearchControl control;
+  control.cancel = &token;
 
   opt.threads = 1;
   ApKnnEngine fail_fast(data, opt);
-  EXPECT_THROW(fail_fast.search(queries, 4), util::OperationCancelled);
+  EXPECT_THROW(fail_fast.search(queries, 4, control),
+               util::OperationCancelled);
 
   opt.on_error = OnError::kIsolate;
-  const SearchRun run = run_engine(data, queries, 4, opt, 4);
+  const SearchRun run = run_engine(data, queries, 4, opt, 4, control);
   EXPECT_EQ(run.stats.count_state(ShardState::kCancelled), kConfigs);
   EXPECT_EQ(run.stats.surviving_configurations(), 0u);
 }
@@ -492,9 +518,12 @@ TEST_F(ChaosControl, EngagedRunControlIsBitIdenticalToPlainRun) {
                              SimulationBackend::kBitParallel}) {
     EngineOptions opt = bed_options(backend);
     const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
-    opt.deadline_ms = 1e9;
+    const util::Deadline never = util::Deadline::after_ms(1e9);
+    SearchControl control;
+    control.deadline = &never;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const SearchRun run = run_engine(data, queries, 4, opt, threads);
+      const SearchRun run =
+          run_engine(data, queries, 4, opt, threads, control);
       EXPECT_EQ(run.results, baseline.results);
       EXPECT_EQ(run.stream, baseline.stream);
       EXPECT_TRUE(run.stats.same_work(baseline.stats));
@@ -503,120 +532,73 @@ TEST_F(ChaosControl, EngagedRunControlIsBitIdenticalToPlainRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Multiplexed engine: the FRAME is the isolation unit.
+// Multiplexed layout: the same per-configuration policy, on a bed of 20
+// vectors = 3 configurations, with 26 queries riding 4 frames of 7 slices.
 
-TEST_F(ChaosMux, FrameFaultIsolatesOneFrame) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 731);
-  const auto queries = knn::BinaryDataset::uniform(26, 16, 732);  // 4 frames
-  const MultiplexedKnn mux(data, 7);
-  std::vector<apsim::ReportEvent> base_stream;
-  const auto baseline = mux.search(queries, 5, nullptr, &base_stream);
-  ASSERT_FALSE(base_stream.empty());
+constexpr std::size_t kMuxVectors = 20;
 
-  constexpr std::size_t kVictimFrame = 2;
-  const std::size_t cpq = mux.spec().cycles_per_query();
-  std::vector<apsim::ReportEvent> want_stream;
-  for (const apsim::ReportEvent& e : base_stream) {
-    if (e.cycle / cpq != kVictimFrame) {
-      want_stream.push_back(e);
-    }
-  }
-
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kIsolate;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::FaultInjector::Plan plan;
-    plan.match_key = kVictimFrame;
-    util::FaultInjector::instance().arm(util::kFaultMuxFrame, plan);
-    util::ThreadPool pool(3);  // 4 runners incl. the submitter
-    std::vector<apsim::ReportEvent> stream;
-    std::vector<ShardStatus> status;
-    const auto results = mux.search(queries, 5, threads > 1 ? &pool : nullptr,
-                                    &stream, mopt, &status);
-    util::FaultInjector::instance().disarm_all();
-    EXPECT_EQ(stream, want_stream) << threads;
-    ASSERT_EQ(status.size(), 4u);
-    for (std::size_t f = 0; f < status.size(); ++f) {
-      EXPECT_EQ(status[f].state,
-                f == kVictimFrame ? ShardState::kFailed : ShardState::kOk)
-          << "frame " << f;
-    }
-    // Queries of the dead frame return empty; every other query is
-    // bit-identical to the baseline.
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      if (q / 7 == kVictimFrame) {
-        EXPECT_TRUE(results[q].empty()) << "query " << q;
-      } else {
-        EXPECT_EQ(results[q], baseline[q]) << "query " << q;
-      }
-    }
-  }
+TEST_F(ChaosMux, ShardFaultIsolatesOneConfiguration) {
+  const auto data = knn::BinaryDataset::uniform(kMuxVectors, 16, 731);
+  const auto queries = knn::BinaryDataset::uniform(26, 16, 732);
+  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+                   util::kFaultEngineShard, OnError::kIsolate,
+                   ShardState::kFailed, "mux engine.shard/isolate/cycle",
+                   apsim::LaneWidth::kAuto, kMaxSlices);
+  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+                   util::kFaultSimFrame, OnError::kRetry, ShardState::kFailed,
+                   "mux sim.frame/retry/cycle", apsim::LaneWidth::kAuto,
+                   kMaxSlices);
 }
 
 TEST_F(ChaosMux, BatchFrameFaultDegradesToCycleAccurate) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 733);
+  // Degradation, not loss: the cycle-accurate rerun of the victim
+  // configuration emits the same events, so lists and stream match the
+  // baseline in full.
+  const auto data = knn::BinaryDataset::uniform(kMuxVectors, 16, 733);
   const auto queries = knn::BinaryDataset::uniform(26, 16, 734);
-  const MultiplexedKnn mux(data, 7, {}, SimulationBackend::kBitParallel);
-  ASSERT_TRUE(mux.bit_parallel()) << mux.fallback_reason();
-  std::vector<apsim::ReportEvent> base_stream;
-  const auto baseline = mux.search(queries, 5, nullptr, &base_stream);
-
-  util::FaultInjector::Plan plan;
-  plan.match_key = 1;  // frame 1, every attempt
-  util::FaultInjector::instance().arm(util::kFaultBatchFrame, plan);
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kIsolate;
-  std::vector<apsim::ReportEvent> stream;
-  std::vector<ShardStatus> status;
-  const auto results = mux.search(queries, 5, nullptr, &stream, mopt, &status);
-  util::FaultInjector::instance().disarm_all();
-  // Degradation, not loss: the cycle-accurate rerun of frame 1 emits the
-  // same events, so everything matches the baseline in full.
-  EXPECT_EQ(results, baseline);
-  EXPECT_EQ(stream, base_stream);
-  ASSERT_EQ(status.size(), 4u);
-  EXPECT_EQ(status[1].state, ShardState::kDegraded);
-  EXPECT_GE(status[1].retries, 1u);
-  EXPECT_FALSE(status[1].error.empty());
+  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+                   util::kFaultBatchFrame, OnError::kIsolate,
+                   ShardState::kDegraded, "mux batch.frame/isolate/bit",
+                   apsim::LaneWidth::kAuto, kMaxSlices);
 }
 
 TEST_F(ChaosMux, RetryRecoversAndDeadlineTimesOut) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 735);
+  const auto data = knn::BinaryDataset::uniform(kMuxVectors, 16, 735);
   const auto queries = knn::BinaryDataset::uniform(26, 16, 736);
-  const MultiplexedKnn mux(data, 7);
-  const auto baseline = mux.search(queries, 5);
+  EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
+  opt.slices = kMaxSlices;
+  opt.threads = 1;
+  const SearchRun baseline = run_engine(data, queries, 5, opt, 1);
 
-  // One-shot fault on frame 0: recovered by the retry.
+  // One-shot fault on configuration 0: recovered by the retry.
   util::FaultInjector::Plan plan;
   plan.match_key = 0;
   plan.fail_count = 1;
-  util::FaultInjector::instance().arm(util::kFaultMuxFrame, plan);
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kRetry;
-  std::vector<ShardStatus> status;
-  const auto results = mux.search(queries, 5, nullptr, nullptr, mopt, &status);
+  util::FaultInjector::instance().arm(util::kFaultEngineShard, plan);
+  opt.on_error = OnError::kRetry;
+  ApKnnEngine mux(data, opt);
+  EXPECT_EQ(mux.search(queries, 5), baseline.results);
   util::FaultInjector::instance().disarm_all();
-  EXPECT_EQ(results, baseline);
-  ASSERT_EQ(status.size(), 4u);
+  const auto& status = mux.last_stats().shard_status;
+  ASSERT_EQ(status.size(), 3u);
   EXPECT_EQ(status[0].state, ShardState::kOk);
   EXPECT_EQ(status[0].retries, 1u);
 
-  // A vanishing deadline times out every frame under kIsolate...
-  mopt = {};
-  mopt.deadline_ms = 1e-4;
-  mopt.on_error = OnError::kIsolate;
-  status.clear();
-  const auto timed = mux.search(queries, 5, nullptr, nullptr, mopt, &status);
-  for (const auto& st : status) {
-    EXPECT_EQ(st.state, ShardState::kTimedOut);
-  }
+  // A vanishing deadline times out every configuration under kIsolate...
+  const util::Deadline deadline = util::Deadline::after_ms(1e-4);
+  SearchControl control;
+  control.deadline = &deadline;
+  opt.on_error = OnError::kIsolate;
+  ApKnnEngine isolating(data, opt);
+  const auto timed = isolating.search(queries, 5, control);
+  EXPECT_EQ(isolating.last_stats().count_state(ShardState::kTimedOut), 3u);
   for (const auto& list : timed) {
     EXPECT_TRUE(list.empty());
   }
   // ...and throws under the default fail-fast policy.
-  mopt.on_error = OnError::kFailFast;
-  EXPECT_THROW(mux.search(queries, 5, nullptr, nullptr, mopt),
-               util::DeadlineExceeded);
+  opt.on_error = OnError::kFailFast;
+  ApKnnEngine failing(data, opt);
+  EXPECT_THROW(failing.search(queries, 5, control), util::DeadlineExceeded);
 }
 
 // ---------------------------------------------------------------------------

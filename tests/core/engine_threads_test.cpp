@@ -1,6 +1,7 @@
-// Configuration-shard scale-out differential tests: ApKnnEngine and
-// MultiplexedKnn must produce bit-identical neighbor lists, EngineStats,
-// AND merged ReportEvent streams at every thread count — the merge walks
+// Configuration-shard scale-out differential tests: ApKnnEngine, in every
+// layout (plain, packed, multiplexed), must produce bit-identical neighbor
+// lists, EngineStats, AND merged ReportEvent streams at every thread
+// count — the merge walks
 // shards in configuration/frame order, never completion order, so thread
 // scheduling can never show through. Frame-bounded shards (report stream
 // not collected) must return the same lists and device accounting as
@@ -11,7 +12,6 @@
 
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "util/thread_pool.hpp"
 
 namespace apss::core {
@@ -22,6 +22,7 @@ struct SearchRun {
   std::vector<apsim::ReportEvent> stream;
   EngineStats stats;
   BackendCompileStats compile;
+  EngineStats model;  ///< project(queries) of the same engine
 };
 
 SearchRun run_engine(const knn::BinaryDataset& data,
@@ -36,7 +37,19 @@ SearchRun run_engine(const knn::BinaryDataset& data,
   r.stream = engine.last_report_stream();
   r.stats = engine.last_stats();
   r.compile = engine.backend_stats();
+  r.model = engine.project(queries.size());
   return r;
+}
+
+/// The device fields of a healthy run are the analytic model's: only the
+/// simulated report count, the host-only skip count and the shard
+/// statuses are filled by search() alone.
+void expect_projected(const SearchRun& run, const std::string& ctx) {
+  EngineStats device = run.stats;
+  device.report_events = 0;
+  device.host_cycles_skipped = 0;
+  device.shard_status.clear();
+  EXPECT_EQ(device, run.model) << ctx;
 }
 
 void expect_thread_invariant(const knn::BinaryDataset& data,
@@ -66,38 +79,59 @@ TEST(EngineThreads, BitParallelStreamIdenticalAcrossThreadCounts) {
 }
 
 TEST(EngineThreads, LaneWidthSweepIdenticalAcrossThreadsAndWidths) {
-  // One reference run at 64-bit lanes, then every lane width at 1/2/8
-  // threads: neighbor lists, merged streams, and EngineStats must all be
-  // bit-identical — the shard merge may never observe the SIMD width.
+  // Per layout, one reference run at 64-bit lanes, then every lane width at
+  // 1/2/4/8 threads: neighbor lists, merged streams, and EngineStats must
+  // all be bit-identical — the shard merge may never observe the SIMD
+  // width — and equal the cycle-accurate engine's. The multiplexed layout
+  // runs 9 queries as 2 frames (the last one partial) on 3 configurations.
   const auto data = knn::BinaryDataset::uniform(41, 24, 614);
   const auto queries = knn::BinaryDataset::uniform(9, 24, 615);
-  EngineOptions opt;
-  opt.backend = SimulationBackend::kBitParallel;
-  opt.max_vectors_per_config = 7;  // 6 configurations
-  opt.queries_per_chunk = 2;
-  opt.lane_width = apsim::LaneWidth::k64;
-  const SearchRun reference = run_engine(data, queries, 4, opt, 1);
-  EXPECT_FALSE(reference.stream.empty());
-  for (const apsim::LaneWidth w : {apsim::LaneWidth::k64,
-                                   apsim::LaneWidth::k256,
-                                   apsim::LaneWidth::k512}) {
-    opt.lane_width = w;
-    const SearchRun width_ref = run_engine(data, queries, 4, opt, 1);
-    for (const std::size_t threads : {1, 2, 8}) {
-      const SearchRun run = run_engine(data, queries, 4, opt, threads);
-      const std::string ctx = std::string("width=") + apsim::to_string(w) +
-                              " threads=" + std::to_string(threads);
-      EXPECT_EQ(run.results, reference.results) << ctx;
-      EXPECT_EQ(run.stream, reference.stream) << ctx;
-      // Stats embed the resolved lane width/isa, so full equality only
-      // holds within a width; across widths the device-work accounting
-      // must still agree exactly.
-      EXPECT_EQ(run.stats, width_ref.stats) << ctx;
-      EXPECT_TRUE(run.stats.same_work(reference.stats)) << ctx;
-      EXPECT_EQ(run.compile.lane_width_bits, static_cast<std::size_t>(w))
-          << ctx;
-      EXPECT_FALSE(run.compile.lane_isa.empty()) << ctx;
+  EngineOptions plain;
+  plain.backend = SimulationBackend::kBitParallel;
+  plain.max_vectors_per_config = 7;  // 6 configurations
+  plain.queries_per_chunk = 2;
+  EngineOptions mux = plain;
+  mux.slices = 7;
+  mux.max_vectors_per_config = 14;  // 3 configurations
+  mux.queries_per_chunk = 1;
+  for (const auto& [name, base] : {std::pair{"plain", plain},
+                                   std::pair{"multiplexed", mux}}) {
+    EngineOptions opt = base;
+    opt.lane_width = apsim::LaneWidth::k64;
+    const SearchRun reference = run_engine(data, queries, 4, opt, 1);
+    EXPECT_FALSE(reference.stream.empty()) << name;
+    EXPECT_GE(reference.stats.configurations, 3u) << name;
+    EngineOptions cycle = base;
+    cycle.backend = SimulationBackend::kCycleAccurate;
+    const SearchRun oracle = run_engine(data, queries, 4, cycle, 1);
+    EXPECT_EQ(reference.results, oracle.results) << name;
+    EXPECT_EQ(reference.stream, oracle.stream) << name;
+    EXPECT_TRUE(reference.stats.same_work(oracle.stats)) << name;
+    expect_projected(oracle, name);
+    for (const apsim::LaneWidth w : {apsim::LaneWidth::k64,
+                                     apsim::LaneWidth::k256,
+                                     apsim::LaneWidth::k512}) {
+      opt.lane_width = w;
+      const SearchRun width_ref = run_engine(data, queries, 4, opt, 1);
+      for (const std::size_t threads : {1, 2, 4, 8}) {
+        const SearchRun run = run_engine(data, queries, 4, opt, threads);
+        const std::string ctx = std::string(name) +
+                                " width=" + apsim::to_string(w) +
+                                " threads=" + std::to_string(threads);
+        EXPECT_EQ(run.results, reference.results) << ctx;
+        EXPECT_EQ(run.stream, reference.stream) << ctx;
+        // Stats embed the resolved lane width/isa, so full equality only
+        // holds within a width; across widths the device-work accounting
+        // must still agree exactly.
+        EXPECT_EQ(run.stats, width_ref.stats) << ctx;
+        EXPECT_TRUE(run.stats.same_work(reference.stats)) << ctx;
+        EXPECT_EQ(run.compile.lane_width_bits, static_cast<std::size_t>(w))
+            << ctx;
+        EXPECT_FALSE(run.compile.lane_isa.empty()) << ctx;
+        expect_projected(run, ctx);
+      }
     }
+    test::expect_valid_knn_results(data, queries, 4, reference.results, name);
   }
 }
 
@@ -213,20 +247,15 @@ TEST(EngineThreads, MultiplexedSearchIdenticalAcrossThreadCounts) {
   const auto queries = knn::BinaryDataset::uniform(26, 16, 613);  // 4 frames
   for (const auto backend : {SimulationBackend::kCycleAccurate,
                              SimulationBackend::kBitParallel}) {
-    const MultiplexedKnn mux(data, 7, {}, backend);
+    EngineOptions opt;
+    opt.slices = 7;
+    opt.backend = backend;
+    const std::string ctx =
+        backend == SimulationBackend::kBitParallel ? "bit" : "cycle";
     if (backend == SimulationBackend::kBitParallel) {
-      ASSERT_TRUE(mux.bit_parallel()) << mux.fallback_reason();
+      ASSERT_EQ(ApKnnEngine(data, opt).backend_stats().multiplexed, 1u);
     }
-    std::vector<apsim::ReportEvent> serial_stream;
-    const auto serial = mux.search(queries, 5, nullptr, &serial_stream);
-    EXPECT_FALSE(serial_stream.empty());
-    for (const std::size_t threads : {2, 8}) {
-      util::ThreadPool pool(threads);
-      std::vector<apsim::ReportEvent> pooled_stream;
-      const auto pooled = mux.search(queries, 5, &pool, &pooled_stream);
-      EXPECT_EQ(pooled, serial) << "threads=" << threads;
-      EXPECT_EQ(pooled_stream, serial_stream) << "threads=" << threads;
-    }
+    expect_thread_invariant(data, queries, 5, opt, "multiplexed " + ctx);
   }
 }
 

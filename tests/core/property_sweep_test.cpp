@@ -12,7 +12,6 @@
 #include "core/engine.hpp"
 #include "core/ext/counter_increment.hpp"
 #include "core/opt/interleaved.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
 #include "core/stream.hpp"
 #include "core/temporal_decode.hpp"
@@ -172,12 +171,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 class MuxSweep : public ::testing::TestWithParam<std::size_t> {};
 
+EngineOptions mux_options(std::size_t slices, SimulationBackend backend) {
+  EngineOptions opt;
+  opt.slices = slices;
+  opt.backend = backend;
+  return opt;
+}
+
 TEST_P(MuxSweep, EverySliceCountReturnsExactKnn) {
   const std::size_t slices = GetParam();
   const auto data = knn::BinaryDataset::uniform(18, 12, 8200 + slices);
   const auto queries =
       knn::BinaryDataset::uniform(2 * slices + 1, 12, 8300);
-  const MultiplexedKnn mux(data, slices);
+  ApKnnEngine mux(data,
+                  mux_options(slices, SimulationBackend::kCycleAccurate));
   const auto results = mux.search(queries, 3);
   test::expect_valid_knn_results(data, queries, 3, results,
                                  "slices=" + std::to_string(slices));
@@ -190,10 +197,10 @@ TEST_P(MuxSweep, BitParallelBackendAgreesForEverySliceCount) {
   const auto data = knn::BinaryDataset::uniform(18, 12, 8200 + slices);
   const auto queries =
       knn::BinaryDataset::uniform(2 * slices + 1, 12, 8300);
-  const MultiplexedKnn cycle(data, slices);
-  const MultiplexedKnn bit(data, slices, {},
-                           SimulationBackend::kBitParallel);
-  ASSERT_TRUE(bit.bit_parallel());
+  ApKnnEngine cycle(data,
+                    mux_options(slices, SimulationBackend::kCycleAccurate));
+  ApKnnEngine bit(data, mux_options(slices, SimulationBackend::kBitParallel));
+  ASSERT_EQ(bit.bit_parallel_configurations(), bit.configurations());
   EXPECT_EQ(bit.search(queries, 3), cycle.search(queries, 3));
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apsim/placement.hpp"
+#include "core/engine.hpp"
 #include "apss_test_support.hpp"
 #include "util/rng.hpp"
 
@@ -55,33 +58,108 @@ TEST(MultiplexedNetwork, ReplicatesMacrosPerSlice) {
   EXPECT_EQ(net.stats().ste_count, 7 * single.stats().ste_count);
 }
 
-TEST(MultiplexedKnn, MatchesCpuExactForSevenParallelQueries) {
+/// The Sec. VI-B layout of the one engine: `slices` queries per frame.
+EngineOptions mux_options(std::size_t slices,
+                          SimulationBackend backend =
+                              SimulationBackend::kCycleAccurate) {
+  EngineOptions opt;
+  opt.slices = slices;
+  opt.backend = backend;
+  return opt;
+}
+
+TEST(MultiplexedLayout, MatchesCpuExactForSevenParallelQueries) {
   util::Rng rng(600);
   const auto data = knn::BinaryDataset::uniform(24, 16, rng.next());
   const auto queries = knn::BinaryDataset::uniform(7, 16, rng.next());
-  const MultiplexedKnn mux(data, 7);
+  ApKnnEngine mux(data, mux_options(7));
   const auto results = mux.search(queries, 5);
   test::expect_valid_knn_results(data, queries, 5, results);
 }
 
-TEST(MultiplexedKnn, HandlesPartialLastGroup) {
+TEST(MultiplexedLayout, HandlesPartialLastGroup) {
   const auto data = knn::BinaryDataset::uniform(12, 12, 601);
   const auto queries = knn::BinaryDataset::uniform(10, 12, 602);  // 7 + 3
-  const MultiplexedKnn mux(data, 7);
+  ApKnnEngine mux(data, mux_options(7));
   const auto results = mux.search(queries, 3);
   ASSERT_EQ(results.size(), 10u);
   test::expect_valid_knn_results(data, queries, 3, results);
 }
 
-TEST(MultiplexedKnn, SevenfoldThroughputInFrames) {
+TEST(MultiplexedLayout, SevenfoldThroughputInFrames) {
   const auto data = knn::BinaryDataset::uniform(4, 16, 603);
-  const MultiplexedKnn mux(data, 7);
+  const ApKnnEngine mux(data, mux_options(7));
   EXPECT_EQ(mux.frames_for(4096), 586u);  // ceil(4096/7)
   EXPECT_EQ(mux.frames_for(7), 1u);
   EXPECT_EQ(mux.frames_for(8), 2u);
+  const EngineStats model = mux.project(4096);
+  EXPECT_EQ(model.simulated_cycles,
+            586u * model.cycles_per_query * model.configurations);
 }
 
-TEST(MultiplexedKnn, SliceMacrosUseTernaryBitMatches) {
+TEST(MultiplexedLayout, DeviceAccountingCountsEverySliceLane) {
+  // Every (vector, slice) lane reports once per frame — including the
+  // unused slices of the partial last frame — and the report bandwidth
+  // model carries capacity * slices reports per frame.
+  const auto data = knn::BinaryDataset::uniform(10, 16, 606);
+  const auto queries = knn::BinaryDataset::uniform(9, 16, 607);  // 2 frames
+  EngineOptions plain_opt = mux_options(1, SimulationBackend::kBitParallel);
+  plain_opt.max_vectors_per_config = data.size();  // equal board capacity
+  EngineOptions mux_opt = plain_opt;
+  mux_opt.slices = 7;
+  ApKnnEngine plain(data, plain_opt);
+  ApKnnEngine mux(data, mux_opt);
+  EXPECT_EQ(mux.backend_stats().multiplexed, mux.configurations());
+  EXPECT_EQ(plain.backend_stats().multiplexed, 0u);
+  mux.search(queries, 3);
+  const EngineStats& stats = mux.last_stats();
+  EXPECT_EQ(stats.simulated_cycles, mux.project(9).simulated_cycles);
+  EXPECT_EQ(stats.simulated_cycles, 2 * stats.cycles_per_query);
+  EXPECT_EQ(stats.report_events, data.size() * 7 * 2);
+  EXPECT_EQ(stats.host_cycles_skipped, 0u);  // multiplexed frames run whole
+  const double per_frame = mux.report_bandwidth_gbps() *
+                           static_cast<double>(stats.cycles_per_query);
+  const double plain_frame = plain.report_bandwidth_gbps() *
+                             static_cast<double>(stats.cycles_per_query);
+  EXPECT_DOUBLE_EQ(per_frame / plain_frame,
+                   (10.0 * 7 + 16) / (10.0 + 16));
+}
+
+TEST(MultiplexedLayout, PartitionsByBoardCapacity) {
+  // A multiplexed vector costs `slices` macros, so a board that holds the
+  // whole plain dataset splits the multiplexed one across configurations.
+  apsim::DeviceGeometry board;
+  board.ranks = 1;
+  board.chips_per_rank = 1;
+  board.half_cores_per_chip = 1;
+  board.blocks_per_half_core = 4;
+  const auto data = knn::BinaryDataset::uniform(6, 16, 609);
+  const auto queries = knn::BinaryDataset::uniform(9, 16, 610);
+  EngineOptions plain_opt;
+  plain_opt.board = board;
+  EngineOptions mux_opt = plain_opt;
+  mux_opt.slices = 7;
+  const ApKnnEngine plain(data, plain_opt);
+  ApKnnEngine mux(data, mux_opt);
+  EXPECT_EQ(plain.configurations(), 1u);
+  EXPECT_GT(mux.configurations(), 1u);
+  EXPECT_LE(mux.capacity_per_config() * 7, plain.capacity_per_config());
+  test::expect_valid_knn_results(data, queries, 4, mux.search(queries, 4));
+}
+
+TEST(MultiplexedLayout, RejectsBadSliceCounts) {
+  const auto data = knn::BinaryDataset::uniform(4, 16, 608);
+  EXPECT_THROW(ApKnnEngine(data, mux_options(0)), std::invalid_argument);
+  EXPECT_THROW(ApKnnEngine(data, mux_options(kMaxSlices + 1)),
+               std::invalid_argument);
+  EngineOptions packed = mux_options(2);
+  packed.packing_group_size = 2;
+  EXPECT_THROW(ApKnnEngine(data, packed), std::invalid_argument);
+  packed.slices = 1;
+  EXPECT_NO_THROW(ApKnnEngine(data, packed));
+}
+
+TEST(MultiplexedLayout, SliceMacrosUseTernaryBitMatches) {
   // Fig. 6: slice-s STEs must discriminate exactly bit s (plus the control
   // flag), i.e. the ternary pattern 0b*......s.
   const auto data = knn::BinaryDataset::uniform(1, 4, 604);
@@ -98,13 +176,14 @@ TEST(MultiplexedKnn, SliceMacrosUseTernaryBitMatches) {
   }
 }
 
-TEST(MultiplexedKnn, ResourceCostIsSevenfold) {
+TEST(MultiplexedLayout, ResourceCostIsSevenfold) {
   // Sec. VI-B: "Replicating the base design 7x is infeasible since our
   // design already uses 41-91% of the board capacity." Verify the placement
   // model agrees: 7 slices of a 1024-vector 64-dim design overflow a rank.
-  MultiplexedKnn tiny(knn::BinaryDataset::uniform(2, 8, 605), 7);
+  const ApKnnEngine tiny(knn::BinaryDataset::uniform(2, 8, 605),
+                         mux_options(7));
   const auto r =
-      apsim::place(tiny.network(), apsim::DeviceGeometry::one_rank());
+      apsim::place(tiny.network(0), apsim::DeviceGeometry::one_rank());
   EXPECT_TRUE(r.placed);
 
   // Scale check via footprints instead of building 7168 macros: a 64-dim
