@@ -7,6 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
@@ -91,10 +94,10 @@ void BM_SimulatorQueryFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
-  // The bit-parallel counterpart of BM_SimulatorQueryFrame: same network,
-  // same stream, packed 64-macros-per-word execution.
-  const std::size_t n = state.range(0);
+/// `n` plain Hamming macros over uniform 128-dim vectors, compiled for the
+/// bit-parallel backend (the network BM_SimulatorQueryFrame simulates).
+std::shared_ptr<const apsim::BatchProgram> uniform_batch_program(
+    std::size_t n) {
   const auto data = knn::BinaryDataset::uniform(n, 128, 7);
   anml::AutomataNetwork net;
   std::vector<core::MacroLayout> layouts;
@@ -106,7 +109,13 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
   for (const auto& layout : layouts) {
     slots.push_back(core::batch_slots(layout));
   }
-  apsim::BatchSimulator sim(apsim::BatchProgram::try_compile(net, slots, {}));
+  return apsim::BatchProgram::try_compile(net, slots, {});
+}
+
+void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
+  // The bit-parallel counterpart of BM_SimulatorQueryFrame: same network,
+  // same stream, packed 64-macros-per-word execution.
+  apsim::BatchSimulator sim(uniform_batch_program(state.range(0)));
   const core::SymbolStreamEncoder enc(core::StreamSpec{128, 1});
   const auto query = knn::BinaryDataset::uniform(1, 128, 8);
   std::vector<std::uint8_t> stream;
@@ -121,6 +130,27 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchSimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
+
+void BM_BatchSimulatorRunFrames(benchmark::State& state) {
+  // The engine's frame path: 64 query frames against 1024 lanes x 128
+  // dims, evaluated in closed form and cut after each frame's keep-th
+  // report (Arg 0 = whole frames).
+  const std::size_t keep = state.range(0) == 0
+                               ? std::numeric_limits<std::size_t>::max()
+                               : static_cast<std::size_t>(state.range(0));
+  apsim::BatchSimulator sim(uniform_batch_program(1024));
+  const core::StreamSpec spec{128, 1};
+  const auto stream = core::SymbolStreamEncoder(spec).encode_batch(
+      knn::BinaryDataset::uniform(64, 128, 8));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim.run_frames(stream, spec.cycles_per_query(), keep));
+  }
+  state.counters["frames/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 64,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BatchSimulatorRunFrames)->Arg(10)->Arg(1000)->Arg(0);
 
 void BM_EngineSearch(benchmark::State& state) {
   const auto data = knn::BinaryDataset::uniform(256, 64, 9);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/fault_injection.hpp"
@@ -204,6 +205,18 @@ std::string check_element_properties(const anml::AutomataNetwork& network,
     return "guard/eof symbols missing or identical";
   }
   return "";
+}
+
+/// Transposes the 8x8 bit matrix whose row i is byte i of `x` (bit j of
+/// the byte = column j): afterwards byte j holds column j.
+std::uint64_t transpose8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00aa00aa00aa00aaULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000cccc0000ccccULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000f0f0f0f0ULL;
+  x ^= t ^ (t << 28);
+  return x;
 }
 
 }  // namespace
@@ -1020,19 +1033,19 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   pulse_.assign(eff_words_, 0);
   counter_out_.assign(eff_words_, 0);
   match_scratch_.assign(eff_words_, 0);
+  frame_rows_.assign(p.dims_ * p.class_count_, nullptr);
+  tie_.assign(p.words_, 0);
+  above_.assign(p.words_, 0);
+  counts_.assign(count_row_planes(p.dims_ * p.class_count_) * eff_words_, 0);
   reset();
 }
 
 void BatchSimulator::reset() {
+  const BatchProgram& p = *program_;
   cycle_ = 0;
   cycles_skipped_ = 0;
   reports_skipped_ = 0;
   reports_.clear();
-  reset_state();
-}
-
-void BatchSimulator::reset_state() {
-  const BatchProgram& p = *program_;
   guard_prev_ = false;
   sort_prev_ = false;
   bridge_ = 0;
@@ -1188,6 +1201,100 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
           reports_.end()};
 }
 
+std::size_t BatchSimulator::emit_frame(std::size_t max_count,
+                                       std::size_t frame_cycles,
+                                       std::size_t keep) {
+  const BatchProgram& p = *program_;
+  // Counts never exceed max_count, so only its bit_width low planes of
+  // counts_ can be set.
+  const auto count_planes =
+      static_cast<std::size_t>(std::bit_width(max_count));
+  const auto plane = [&](std::size_t q, std::size_t w) {
+    return counts_[q * eff_words_ + w];
+  };
+  // 1. The cut count: the rank-th largest count, rank = min(keep, lanes),
+  //    selected bit-serially from the top plane down. tie_ holds the lanes
+  //    whose count matches the cut on the planes decided so far, above_
+  //    the lanes already known to count more.
+  const std::size_t rank = std::min(keep, p.macro_count_);
+  std::size_t cut = 0;
+  std::size_t larger = 0;
+  std::copy_n(p.valid_.begin(), p.words_, tie_.begin());
+  std::fill(above_.begin(), above_.end(), 0);
+  for (std::size_t q = count_planes; q-- > 0;) {
+    std::size_t with_bit = 0;
+    for (std::size_t w = 0; w < p.words_; ++w) {
+      with_bit +=
+          static_cast<std::size_t>(std::popcount(tie_[w] & plane(q, w)));
+    }
+    const bool set = larger + with_bit >= rank;
+    if (set) {
+      cut |= std::size_t{1} << q;
+    } else {
+      larger += with_bit;
+    }
+    for (std::size_t w = 0; w < p.words_; ++w) {
+      const std::uint64_t bit = tie_[w] & plane(q, w);
+      above_[w] |= set ? 0 : bit;
+      tie_[w] = set ? bit : tie_[w] & ~bit;
+    }
+  }
+  // 2. Every lane counting >= cut reports, count h at frame offset
+  //    frame_cycles - h: larger counts first, ascending lanes within a
+  //    count — a counting sort over h, written straight into reports_.
+  ranked_.clear();
+  level_end_.assign(max_count - cut + 2, 0);  // slot max_count - h + 1
+  std::uint64_t word_planes[64] = {};  // count_planes <= bit_width(size_t)
+  for (std::size_t w = 0; w < p.words_; ++w) {
+    const std::uint64_t reported = above_[w] | tie_[w];
+    if (reported == 0) {
+      continue;
+    }
+    for (std::size_t q = 0; q < count_planes; ++q) {
+      word_planes[q] = plane(q, w);
+    }
+    // Lanes come eight at a time: their counts are the columns of an 8x8
+    // bit matrix per eight planes, whose transpose holds one count byte per
+    // lane.
+    for (std::size_t k = 0; k < 64; k += 8) {
+      std::uint64_t bits = (reported >> k) & 0xff;
+      if (bits == 0) {
+        continue;
+      }
+      std::size_t counts[8] = {};
+      for (std::size_t g = 0; g < count_planes; g += 8) {
+        std::uint64_t rows = 0;
+        for (std::size_t i = 0; i < 8 && g + i < count_planes; ++i) {
+          rows |= ((word_planes[g + i] >> k) & 0xff) << (8 * i);
+        }
+        const std::uint64_t cols = transpose8x8(rows);
+        for (std::size_t j = 0; j < 8; ++j) {
+          counts[j] |= static_cast<std::size_t>((cols >> (8 * j)) & 0xff)
+                       << g;
+        }
+      }
+      while (bits != 0) {
+        const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        ranked_.push_back({w * 64 + k + j, counts[j]});
+        ++level_end_[max_count - counts[j] + 1];
+      }
+    }
+  }
+  for (std::size_t i = 1; i < level_end_.size(); ++i) {
+    level_end_[i] += level_end_[i - 1];
+  }
+  const std::size_t first = reports_.size();
+  reports_.resize(first + ranked_.size());
+  for (const auto& [lane, h] : ranked_) {
+    reports_[first + level_end_[max_count - h]++] = {
+        cycle_ + frame_cycles - h, p.report_elem_[lane],
+        p.report_code_[lane]};
+  }
+  // With keep > lanes no report is the keep-th: the frame runs to its end.
+  return keep <= p.macro_count_ ? cut : 0;
+}
+
 std::vector<ReportEvent> BatchSimulator::run_frames(
     std::span<const std::uint8_t> stream, std::size_t frame_cycles,
     std::size_t keep, const util::RunControl& control) {
@@ -1197,37 +1304,62 @@ std::vector<ReportEvent> BatchSimulator::run_frames(
         "BatchSimulator::run_frames: needs keep >= 1 and a whole number of "
         "non-empty frames");
   }
+  if (frame_cycles != 2 * p.dims_ + p.levels_ + 3) {
+    throw std::invalid_argument(
+        "BatchSimulator::run_frames: frame_cycles " +
+        std::to_string(frame_cycles) + " is not 2*dims+levels+3 = " +
+        std::to_string(2 * p.dims_ + p.levels_ + 3));
+  }
   for (std::size_t begin = 0; begin < stream.size(); begin += frame_cycles) {
-    if (stream[begin] != p.sof_ || stream[begin + frame_cycles - 1] != p.eof_) {
+    const std::uint8_t* interior = stream.data() + begin + 1;
+    const std::size_t interior_size = frame_cycles - 2;
+    if (stream[begin] != p.sof_ || stream[begin + frame_cycles - 1] != p.eof_ ||
+        std::memchr(interior, p.sof_, interior_size) != nullptr ||
+        std::memchr(interior, p.eof_, interior_size) != nullptr) {
       throw std::invalid_argument(
           "BatchSimulator::run_frames: frame at symbol " +
-          std::to_string(begin) + " does not start with SOF and end with EOF");
+          std::to_string(begin) +
+          " is not SOF, then no SOF or EOF, then EOF");
     }
   }
   reset();
-  // A well-formed frame ends in the reset() state: EOF has reloaded every
-  // counter's bias, the wavefront and sort chain have drained, and no
-  // pulse is staged. So once the keep-th report's cycle is done, the rest
-  // of the frame can only emit reports the caller discards, and the next
-  // frame starts from reset_state() exactly as it would after stepping on.
+  // Closed form of one well-formed frame (docs/SIMULATOR_SEMANTICS.md,
+  // "Frame-bounded execution"): the frame starts in the reset() state, the
+  // wavefront enables dimension i's matching states exactly at the
+  // frame's symbol 1 + i, and the counter then reaches its threshold d at
+  // frame cycle 2d+L-h, where h is the lane's match count. So every lane
+  // reports exactly once, at frame offset frame_cycles - h, ties in
+  // ascending lane order, and the frame ends in the reset() state again.
+  // The counts come from one bit-sliced reduction of the matched rows; no
+  // cycle is stepped.
+  const std::size_t rows_stride = p.class_count_ * p.row_stride_;
   const bool polled = control.engaged() || util::FaultInjector::armed();
   const std::uint64_t period =
       control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
   std::uint64_t since = 0;
   for (std::size_t begin = 0; begin < stream.size(); begin += frame_cycles) {
+    // Each dimension contributes the rows of the classes that accept its
+    // data symbol. The rows of one dimension are disjoint, so summing them
+    // equals counting their OR: one row per dimension for plain and packed
+    // programs, one per slice for multiplexed ones.
+    std::size_t n_rows = 0;
+    for (std::size_t i = 0; i < p.dims_; ++i) {
+      std::uint16_t hit =
+          p.sym_classes_[stream[begin + 1 + i]] & p.dim_used_[i];
+      const std::uint64_t* rows = &p.dim_rows_[i * rows_stride];
+      while (hit != 0) {
+        const auto c = static_cast<std::size_t>(std::countr_zero(hit));
+        hit &= static_cast<std::uint16_t>(hit - 1);
+        frame_rows_[n_rows++] = rows + c * p.row_stride_;
+      }
+    }
+    kernels_.count_rows(frame_rows_.data(), n_rows, eff_words_,
+                        counts_.data());
     const std::size_t first = reports_.size();
-    std::size_t i = 0;
-    while (i < frame_cycles && reports_.size() - first < keep) {
-      step(stream[begin + i]);
-      ++i;
-    }
-    if (i < frame_cycles) {
-      const std::size_t emitted = reports_.size() - first;
-      cycles_skipped_ += frame_cycles - i;
-      reports_skipped_ += p.macro_count_ - std::min(p.macro_count_, emitted);
-      cycle_ += frame_cycles - i;
-      reset_state();
-    }
+    cycles_skipped_ +=
+        emit_frame(std::min(p.dims_, n_rows), frame_cycles, keep);
+    reports_skipped_ += p.macro_count_ - (reports_.size() - first);
+    cycle_ += frame_cycles;
     since += frame_cycles;
     if (polled && since >= period) {
       since = 0;

@@ -57,6 +57,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anml/network.hpp"
@@ -255,6 +256,11 @@ class BatchProgram {
 /// ReportEvent output as the cycle-accurate Simulator. Cheap to construct
 /// (dynamic state only); create one per worker thread.
 ///
+/// Two execution paths share the program: step()/run() advance one cycle
+/// per symbol on any stream (the oracle), and run_frames() evaluates
+/// well-formed query frames in closed form from per-lane match counts,
+/// stepping nothing.
+///
 /// The execution lane width is a per-simulator choice (resolve_lane_kernels
 /// decides SIMD vs portable at construction); the ReportEvent stream is
 /// bit-identical at every width, so a program — or an artifact compiled at
@@ -269,7 +275,8 @@ class BatchSimulator {
   explicit BatchSimulator(std::shared_ptr<const BatchProgram> program,
                           LaneWidth lane_width = LaneWidth::kAuto);
 
-  /// Returns to the pre-stream state (cycle 0, all counts zero).
+  /// Returns to the pre-stream state (cycle 0, all counts zero, no
+  /// collected reports or skip counts).
   void reset();
 
   /// Consumes one symbol; advances to the next cycle.
@@ -293,31 +300,36 @@ class BatchSimulator {
                                         const util::RunControl& control);
 
   /// Frame-bounded run (docs/SIMULATOR_SEMANTICS.md, "Frame-bounded
-  /// execution"): reset(), then for each `frame_cycles`-symbol frame of
-  /// `stream`, step until the end of the cycle in which the frame's
-  /// `keep`-th report appears (every tie in that cycle included), return
-  /// the dynamic state to its reset() value — keeping the collected
-  /// reports — and advance cycle() to the frame end. Per frame the events
-  /// equal run()'s up to and including that cycle; with keep >= lanes
-  /// they equal run() exactly. cycle() always ends at stream.size().
+  /// execution"): reset(), then per `frame_cycles`-symbol frame of
+  /// `stream`, the events run() would emit up to and including the cycle
+  /// of the frame's `keep`-th report (every tie in that cycle included);
+  /// with keep >= lanes they equal run() exactly. cycle() ends at
+  /// stream.size().
   ///
-  /// Valid only on well-formed encoder frames, where every live lane
-  /// reports exactly once per frame (reports_skipped() relies on it).
+  /// Evaluated in closed form, without stepping: on a well-formed frame a
+  /// lane matching the frame's data symbols in h dimensions reports once,
+  /// at frame offset frame_cycles - h, ties in ascending lane order. So
+  /// each frame is one bit-sliced count of its matched lane-mask rows
+  /// (LaneKernels::count_rows) and an emission by descending count.
+  ///
   /// Throws std::invalid_argument when keep or frame_cycles is 0, the
-  /// stream is not a whole number of frames, or a frame does not start
-  /// with the SOF symbol and end with the EOF symbol.
+  /// stream is not a whole number of frames, frame_cycles is not
+  /// 2 * dims + levels + 3, or a frame does not start with the SOF symbol,
+  /// end with the EOF symbol and hold neither in between. Every other
+  /// symbol is legal anywhere inside a frame.
   ///
   /// Checkpoints and the "batch.frame" fault site fire at frame boundaries
-  /// with skipped cycles counted as consumed — with checkpoint_period =
+  /// with every frame cycle counted as consumed — with checkpoint_period =
   /// frame_cycles, exactly once per frame, as in run(stream, control).
   std::vector<ReportEvent> run_frames(std::span<const std::uint8_t> stream,
                                       std::size_t frame_cycles,
                                       std::size_t keep,
                                       const util::RunControl& control = {});
 
-  /// Host-side work the last run_frames() cut: cycles it did not step, and
-  /// reports those cycles would have emitted (lanes minus the reports
-  /// emitted, per cut frame). Zero after reset() and after run().
+  /// Host-side work the last run_frames() cut, per frame: the frame cycles
+  /// after the cycle of its keep-th report, and the reports those cycles
+  /// would have emitted (lanes minus the reports emitted). Zero after
+  /// reset() and after run().
   std::uint64_t cycles_skipped() const noexcept { return cycles_skipped_; }
   std::uint64_t reports_skipped() const noexcept { return reports_skipped_; }
 
@@ -333,9 +345,12 @@ class BatchSimulator {
   bool lane_simd() const noexcept { return kernels_.simd; }
 
  private:
-  /// The dynamic element state of reset(); leaves cycle_, the collected
-  /// reports and the skip counters alone.
-  void reset_state();
+  /// Appends one closed-form frame's reports from counts_ (see
+  /// run_frames), whose counts are at most `max_count`. Returns the frame
+  /// cycles it skipped: the count of the keep-th report's cycle, or 0 when
+  /// keep > lanes.
+  std::size_t emit_frame(std::size_t max_count, std::size_t frame_cycles,
+                         std::size_t keep);
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
@@ -356,6 +371,17 @@ class BatchSimulator {
   std::vector<std::uint64_t> pulse_;      ///< staged counter pulse
   std::vector<std::uint64_t> counter_out_;  ///< counter outputs last cycle
   std::vector<std::uint64_t> match_scratch_;
+  /// run_frames scratch: room for the matched lane-mask rows of one frame
+  /// (at most every class of every dimension), and their per-lane count as
+  /// bit planes (plane q at q * eff_words_).
+  std::vector<const std::uint64_t*> frame_rows_;
+  std::vector<std::uint64_t> counts_;
+  /// emit_frame scratch: per-word lane masks of the cut selection, and the
+  /// emitted (lane, count) pairs with the counting sort's slot ends.
+  std::vector<std::uint64_t> tie_;
+  std::vector<std::uint64_t> above_;
+  std::vector<std::pair<std::size_t, std::size_t>> ranked_;
+  std::vector<std::size_t> level_end_;
   std::vector<ReportEvent> reports_;
 };
 

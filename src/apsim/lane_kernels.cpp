@@ -64,6 +64,7 @@ constexpr LaneKernels portable_kernels(const char* isa) {
   k.isa = isa;
   k.or_rows = detail::or_rows_impl<LaneWord<W>>;
   k.counter_update = detail::counter_update_impl<LaneWord<W>>;
+  k.count_rows = detail::count_rows_impl<LaneWord<W>>;
   return k;
 }
 

@@ -51,6 +51,7 @@ constexpr LaneKernels make_kernels() {
   k.isa = "avx2";
   k.or_rows = or_rows_impl<Avx2Word>;
   k.counter_update = counter_update_impl<Avx2Word>;
+  k.count_rows = count_rows_impl<Avx2Word>;
   return k;
 }
 

@@ -49,6 +49,7 @@ constexpr LaneKernels make_kernels() {
   k.isa = "avx512";
   k.or_rows = or_rows_impl<Avx512Word>;
   k.counter_update = counter_update_impl<Avx512Word>;
+  k.count_rows = count_rows_impl<Avx512Word>;
   return k;
 }
 

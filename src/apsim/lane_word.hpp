@@ -12,10 +12,11 @@
 //    with bitwise ops written as fixed-trip loops any compiler can unroll
 //    (and, with vector flags, auto-vectorize). It defines the semantics;
 //    it is always available, on every architecture.
-//  * LaneKernels — the two hot per-cycle loops (packed-row OR and the
-//    bit-sliced counter update) behind function pointers, so AVX2 / AVX-512
-//    translation units compiled with their own target flags can supply
-//    intrinsic versions of the SAME bitwise dataflow.
+//  * LaneKernels — the hot loops (packed-row OR and the bit-sliced counter
+//    update per stepped cycle, the per-lane row count per closed-form
+//    frame) behind function pointers, so AVX2 / AVX-512 translation units
+//    compiled with their own target flags can supply intrinsic versions of
+//    the SAME bitwise dataflow.
 //  * resolve_lane_kernels() — runtime dispatch: an explicit width is always
 //    honored (the SIMD variant when the CPU + build support it, the
 //    portable LaneWord variant otherwise); kAuto picks the widest
@@ -28,6 +29,8 @@
 // operation, so programs (and their on-disk artifacts, docs/ARTIFACTS.md)
 // never depend on the width they will run at.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -136,7 +139,14 @@ struct LaneCounterCtx {
   bool eof_now = false;    ///< uniform counter reset this cycle
 };
 
-/// The resolved execution strategy: a width plus the two hot-loop kernels.
+/// Bit planes LaneKernels::count_rows writes for `rows` rows: enough to hold
+/// the count `rows`, and at least the three its carry-save stages keep.
+constexpr std::size_t count_row_planes(std::size_t rows) noexcept {
+  return std::max<std::size_t>(
+      3, static_cast<std::size_t>(std::bit_width(rows)));
+}
+
+/// The resolved execution strategy: a width plus the hot-loop kernels.
 /// Value-semantic and immutable after resolution; share freely.
 struct LaneKernels {
   LaneWidth width = LaneWidth::k64;  ///< resolved width, never kAuto
@@ -146,6 +156,12 @@ struct LaneKernels {
   void (*or_rows)(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t words) = nullptr;
   void (*counter_update)(const LaneCounterCtx& ctx) = nullptr;
+  /// Per-lane count of the set bits among `n_rows` lane-mask rows (each
+  /// `words` words, block-aligned and zero-padded), written bit-sliced:
+  /// plane q of every lane's count at planes + q * words, for q <
+  /// count_row_planes(n_rows).
+  void (*count_rows)(const std::uint64_t* const* rows, std::size_t n_rows,
+                     std::size_t words, std::uint64_t* planes) = nullptr;
 
   std::size_t width_bits() const noexcept {
     return static_cast<std::size_t>(width);

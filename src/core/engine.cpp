@@ -466,8 +466,23 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     }
   }
 
-  const SymbolStreamEncoder encoder(spec_);
-  const MultiplexedStreamEncoder mux_encoder(spec_);
+  // Encode the batch once: every configuration streams the same frames,
+  // and each shard runs its frame range of them.
+  const std::size_t frame_cycles = spec_.cycles_per_query();
+  std::vector<std::uint8_t> stream;
+  stream.reserve(frames * frame_cycles);
+  if (slices == 1) {
+    const SymbolStreamEncoder encoder(spec_);
+    for (std::size_t b = 0; b < q; ++b) {
+      encoder.append_query(queries.row(b), stream);
+    }
+  } else {
+    const MultiplexedStreamEncoder mux_encoder(spec_);
+    for (std::size_t b = 0; b < q; b += slices) {
+      mux_encoder.append_group(queries, b, std::min(slices, q - b), stream);
+    }
+  }
+
   // Bit-parallel shards stop each frame once its k-th report's cycle is
   // done: the temporal sort makes later reports irrelevant to the top-k.
   // A multiplexed frame's k-th report does not decide each slice's top-k,
@@ -506,7 +521,6 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     bool sim_is_batch = false;
     std::unique_ptr<apsim::Simulator> reference;
     std::unique_ptr<apsim::BatchSimulator> batch;
-    std::vector<std::uint8_t> stream;
     // One attempt at simulating `shard`: checkpoint (deadline/cancel), fire
     // the shard-entry fault site, simulate, decode, rebase. Throws on any
     // failure; `force_reference` is the degrade path (cycle-accurate rerun
@@ -538,31 +552,21 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         sim_config = shard.config;
         sim_is_batch = use_batch;
       }
-      stream.clear();
-      stream.reserve(shard.frames * spec_.cycles_per_query());
-      const std::size_t q_end = shard.q_begin + shard.q_count;
-      for (std::size_t b = shard.q_begin; b < q_end; b += slices) {
-        if (slices == 1) {
-          encoder.append_query(queries.row(b), stream);
-        } else {
-          mux_encoder.append_group(queries, b, std::min(slices, q_end - b),
-                                   stream);
-        }
-      }
+      const std::span<const std::uint8_t> frames_in(
+          stream.data() + shard.frame_begin * frame_cycles,
+          shard.frames * frame_cycles);
       if (batch != nullptr) {
-        shard.events =
-            batch->run_frames(stream, spec_.cycles_per_query(), keep, ctl);
+        shard.events = batch->run_frames(frames_in, frame_cycles, keep, ctl);
         shard.cycles_skipped = batch->cycles_skipped();
         shard.reports_skipped = batch->reports_skipped();
       } else {
-        shard.events = reference->run(stream, ctl);
+        shard.events = reference->run(frames_in, ctl);
         shard.cycles_skipped = 0;
         shard.reports_skipped = 0;
       }
       const TemporalSortDecoder decoder(spec_, shard.q_count, slices);
       shard.partial = decoder.decode(shard.events, k);
-      apsim::rebase_events(shard.events,
-                           shard.frame_begin * spec_.cycles_per_query());
+      apsim::rebase_events(shard.events, shard.frame_begin * frame_cycles);
     };
     for (std::size_t t = lo; t < hi; ++t) {
       Shard& shard = shards[t];
@@ -570,7 +574,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       util::RunControl ctl;
       ctl.deadline = control.deadline;
       ctl.cancel = control.cancel;
-      ctl.checkpoint_period = spec_.cycles_per_query();
+      ctl.checkpoint_period = frame_cycles;
       ctl.fault_key = static_cast<std::int64_t>(shard.config);
       if (options_.on_error == OnError::kFailFast) {
         // The pre-fault-tolerance path, byte for byte: nothing is caught

@@ -155,7 +155,8 @@ struct EngineOptions {
   /// concatenated in configuration/frame order (last_report_stream()).
   /// Off by default: the raw stream can dwarf the decoded results. Off
   /// also lets bit-parallel shards stop each frame after its k-th report's
-  /// cycle (EngineStats::host_cycles_skipped); on, they run whole frames.
+  /// cycle (EngineStats::host_cycles_skipped); on, they emit every report
+  /// of every frame.
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
@@ -216,11 +217,12 @@ struct EngineStats {
   /// Counts the reports a frame-bounded shard skipped as well as the ones
   /// it emitted, so it does not depend on how the host simulated.
   std::size_t report_events = 0;
-  /// Host-only: cycles the bit-parallel shards did not step because their
-  /// frame's top-k was already decided (BatchSimulator::run_frames). Zero
-  /// with collect_report_stream or on the cycle-accurate path. Not device
-  /// work: simulated_cycles and the device model never subtract it, and
-  /// same_work() ignores it.
+  /// Host-only: per bit-parallel frame, the frame cycles after the cycle of
+  /// its k-th report, whose reports the closed-form frame evaluation
+  /// (BatchSimulator::run_frames) does not emit because the frame's top-k
+  /// is already decided. Zero with collect_report_stream or on the
+  /// cycle-accurate path. Not device work: simulated_cycles and the device
+  /// model never subtract it, and same_work() ignores it.
   std::size_t host_cycles_skipped = 0;
   /// Which backend compiled each configuration (and why any fell back).
   BackendCompileStats backend;

@@ -9,11 +9,15 @@
 // behaviour (lanes % 64 == 0 must yield a full, not empty, tail mask).
 // The frame-bounded run rides the same matrix: on well-formed frames it
 // must emit exactly the per-frame prefix of the reference stream up to
-// the k-th report's cycle, at every width.
+// the k-th report's cycle, at every width, whatever non-control symbols
+// fill the frame; and the count_rows kernel behind it must equal a
+// scalar per-lane popcount.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -433,6 +437,175 @@ TEST(LaneWidthSweep, BoundedRunRejectsMalformedFrames) {
     EXPECT_THROW(batch.run_frames(good, frame + 1, 3), std::invalid_argument);
     EXPECT_THROW(batch.run_frames(good, 0, 3), std::invalid_argument);
     EXPECT_THROW(batch.run_frames(good, frame, 0), std::invalid_argument);
+    // The closed form also needs the frame length the timing algebra
+    // fixes, and no control symbol inside a frame.
+    auto inner_sof = good;
+    inner_sof[frame + 1 + dims] = core::Alphabet::kSof;
+    EXPECT_THROW(batch.run_frames(inner_sof, frame, 3), std::invalid_argument);
+    auto inner_eof = good;
+    inner_eof[2] = core::Alphabet::kEof;
+    EXPECT_THROW(batch.run_frames(inner_eof, frame, 3), std::invalid_argument);
+    EXPECT_THROW(batch.run_frames(good, 2 * frame, 3), std::invalid_argument);
+    auto longer = std::vector<std::uint8_t>(good.begin(),
+                                            good.begin() + frame - 1);
+    longer.push_back(core::Alphabet::kFill);
+    longer.push_back(core::Alphabet::kEof);
+    EXPECT_THROW(batch.run_frames(longer, frame + 1, 3),
+                 std::invalid_argument);
+  }
+}
+
+TEST(LaneWidthSweep, BoundedRunOnArbitraryInteriorSymbols) {
+  // Any symbol but SOF and EOF may fill a frame's data and FILL slots: the
+  // closed form must still emit the reference's per-frame prefix, on every
+  // family, at every width, SIMD and portable. Data slots then carry
+  // multi-slice payloads and symbols no class accepts, and FILL slots
+  // carry data symbols. d = 500 gives the plain, tree and multiplexed
+  // shapes two collector levels.
+  util::Rng rng(1717);
+  const auto noisy_frames = [&](std::size_t frames, std::size_t frame) {
+    std::vector<std::uint8_t> stream;
+    for (std::size_t f = 0; f < frames; ++f) {
+      stream.push_back(core::Alphabet::kSof);
+      for (std::size_t i = 2; i < frame; ++i) {
+        std::uint8_t s = core::Alphabet::kSof;
+        while (s == core::Alphabet::kSof || s == core::Alphabet::kEof) {
+          s = static_cast<std::uint8_t>(rng.below(256));
+        }
+        stream.push_back(s);
+      }
+      stream.push_back(core::Alphabet::kEof);
+    }
+    return stream;
+  };
+  const auto check = [&](const anml::AutomataNetwork& network,
+                         std::shared_ptr<const BatchProgram> program,
+                         const core::StreamSpec& spec,
+                         const std::string& context) {
+    ASSERT_NE(program, nullptr) << context;
+    ASSERT_EQ(program->collector_levels(), spec.collector_levels) << context;
+    const std::size_t frame = spec.cycles_per_query();
+    const auto stream = noisy_frames(3, frame);
+    Simulator reference(network);
+    const auto full = reference.run(stream);
+    ASSERT_EQ(full.size(), 3 * program->macro_count()) << context;
+    const std::size_t keeps[] = {1, 2, program->macro_count(),
+                                 std::numeric_limits<std::size_t>::max()};
+    for (const bool portable : {false, true}) {
+      std::optional<ForcePortable> force;
+      if (portable) {
+        force.emplace();
+      }
+      for (const LaneWidth w : kWidths) {
+        BatchSimulator batch(program, w);
+        test::expect_frame_bounded(
+            batch, stream, frame, full, keeps,
+            context + (portable ? " portable" : "") + " width=" +
+                to_string(w));
+      }
+    }
+  };
+  for (const std::size_t dims : {1u, 9u, 16u, 17u, 128u, 500u}) {
+    const std::string d = " d=" + std::to_string(dims);
+    {
+      const Config c = build_config(test::random_dataset(rng, 70, dims));
+      check(c.network, compile_or_die(c), c.spec, "plain" + d);
+    }
+    for (const auto style :
+         {core::CollectorStyle::kFlat, core::CollectorStyle::kTree}) {
+      core::VectorPackingOptions opt;
+      opt.group_size = 4;
+      opt.style = style;
+      anml::AutomataNetwork network;
+      const auto layouts = core::build_packed_network(
+          network, test::random_dataset(rng, 67, dims), opt);
+      std::vector<PackedGroupSlots> slots;
+      for (const core::PackedGroupLayout& l : layouts) {
+        slots.push_back(core::packed_batch_slots(l));
+      }
+      const core::StreamSpec spec{dims, layouts.front().collector_levels};
+      check(network, BatchProgram::try_compile(network, slots, {}), spec,
+            std::string(style == core::CollectorStyle::kFlat ? "flat"
+                                                              : "tree") +
+                d);
+    }
+    {
+      anml::AutomataNetwork network;
+      const auto layouts = core::build_multiplexed_network(
+          network, test::random_dataset(rng, 11, dims), 7, {});
+      std::vector<HammingMacroSlots> slots;
+      for (const core::MacroLayout& l : layouts) {
+        slots.push_back(core::batch_slots(l));
+      }
+      const core::StreamSpec spec{dims, core::collector_levels_for(dims, {})};
+      check(network, BatchProgram::try_compile(network, slots, {}), spec,
+            "multiplexed" + d);
+    }
+  }
+}
+
+// --- The bit-sliced row count ------------------------------------------------
+
+TEST(LaneKernelCountRows, MatchesPerLanePopcountAtEveryWidth) {
+  // count_rows against a scalar per-lane popcount, for 0..300 rows (whole
+  // carry-save groups of eight plus every tail length) at lane counts that
+  // straddle word and block boundaries. Pad lanes must count zero, and
+  // every plane count_row_planes promises must be written.
+  util::Rng rng(4242);
+  constexpr std::size_t kRows = 300;
+  for (const std::size_t lanes : {1u, 63u, 65u, 300u, 577u}) {
+    const std::size_t words =
+        (lanes + 64 * kLaneBlockWords - 1) / (64 * kLaneBlockWords) *
+        kLaneBlockWords;
+    std::vector<std::vector<std::uint64_t>> table(kRows);
+    for (auto& row : table) {
+      row.assign(words, 0);
+      const double density = rng.below(5) / 4.0;  // 0, .25, .5, .75, 1
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (rng.bernoulli(density)) {
+          row[l / 64] |= std::uint64_t{1} << (l % 64);
+        }
+      }
+    }
+    std::vector<const std::uint64_t*> rows;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      // Repeat some rows: the kernel must count a pointer each time.
+      rows.push_back(table[rng.below(4) == 0 && r > 0 ? rng.below(r) : r]
+                         .data());
+    }
+    std::vector<LaneKernels> kernels;
+    for (const LaneWidth w : kWidths) {
+      kernels.push_back(resolve_lane_kernels(w));
+    }
+    {
+      ForcePortable portable;
+      for (const LaneWidth w : kWidths) {
+        kernels.push_back(resolve_lane_kernels(w));
+      }
+    }
+    std::vector<std::size_t> expected(words * 64, 0);
+    for (std::size_t n = 0; n <= kRows; ++n) {
+      if (n > 0) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          expected[l] += (rows[n - 1][l / 64] >> (l % 64)) & 1;
+        }
+      }
+      const std::size_t plane_count = count_row_planes(n);
+      for (const LaneKernels& k : kernels) {
+        std::vector<std::uint64_t> planes(plane_count * words,
+                                          0xa5a5a5a5a5a5a5a5ull);
+        k.count_rows(rows.data(), n, words, planes.data());
+        for (std::size_t l = 0; l < words * 64; ++l) {
+          std::size_t count = 0;
+          for (std::size_t q = 0; q < plane_count; ++q) {
+            count |= ((planes[q * words + l / 64] >> (l % 64)) & 1) << q;
+          }
+          ASSERT_EQ(count, expected[l])
+              << "lanes=" << lanes << " rows=" << n << " lane=" << l
+              << " width=" << to_string(k.width) << " isa=" << k.isa;
+        }
+      }
+    }
   }
 }
 
@@ -447,6 +620,7 @@ TEST(LaneKernelDispatch, ExplicitWidthsAreAlwaysHonored) {
     EXPECT_LE(k.block_words(), kLaneBlockWords);
     EXPECT_NE(k.or_rows, nullptr);
     EXPECT_NE(k.counter_update, nullptr);
+    EXPECT_NE(k.count_rows, nullptr);
   }
 }
 
@@ -455,6 +629,7 @@ TEST(LaneKernelDispatch, AutoNeverReturnsAuto) {
   EXPECT_NE(k.width, LaneWidth::kAuto);
   EXPECT_NE(k.or_rows, nullptr);
   EXPECT_NE(k.counter_update, nullptr);
+  EXPECT_NE(k.count_rows, nullptr);
 }
 
 TEST(LaneKernelDispatch, DisableSimdEnvForcesPortable) {
