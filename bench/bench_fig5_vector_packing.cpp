@@ -7,8 +7,8 @@
 //
 // A second section compares the simulation backends on a full packed board
 // configuration: the same query stream runs on the cycle-accurate
-// reference and on the bit-parallel batch backend (which compiles the
-// packed shape since the packed try_compile overload landed), asserts the
+// reference and on the bit-parallel batch backend (whose one recognizer
+// verifies the packed groups, as it does plain macros), asserts the
 // ReportEvent streams are BIT-IDENTICAL, and records both wall clocks to
 // BENCH_fig5_vector_packing.json.
 //
@@ -96,14 +96,8 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   const core::StreamSpec spec{dims, layouts.front().collector_levels};
   const auto stream = core::SymbolStreamEncoder(spec).encode_batch(queries);
 
-  std::vector<apsim::PackedGroupSlots> slots;
-  slots.reserve(layouts.size());
-  for (const auto& layout : layouts) {
-    slots.push_back(core::packed_batch_slots(layout));
-  }
   std::string reason;
-  const auto program =
-      apsim::BatchProgram::try_compile(network, slots, {}, &reason);
+  const auto program = core::compile_batch(network, layouts, {}, &reason);
   if (program == nullptr) {
     std::fprintf(stderr, "FAIL: packed shape did not compile: %s\n",
                  reason.c_str());

@@ -109,14 +109,8 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   std::size_t frames = 0;
   const auto stream = encoder.encode_batch(queries, frames);
 
-  std::vector<apsim::HammingMacroSlots> slots;
-  slots.reserve(layouts.size());
-  for (const auto& layout : layouts) {
-    slots.push_back(core::batch_slots(layout));
-  }
   std::string reason;
-  const auto program =
-      apsim::BatchProgram::try_compile(network, slots, {}, &reason);
+  const auto program = core::compile_batch(network, layouts, {}, &reason);
   if (program == nullptr) {
     std::fprintf(stderr, "FAIL: multiplexed shape did not compile: %s\n",
                  reason.c_str());

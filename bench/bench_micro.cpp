@@ -105,11 +105,7 @@ std::shared_ptr<const apsim::BatchProgram> uniform_batch_program(
     layouts.push_back(core::append_hamming_macro(
         net, data.vector(i), static_cast<std::uint32_t>(i)));
   }
-  std::vector<apsim::HammingMacroSlots> slots;
-  for (const auto& layout : layouts) {
-    slots.push_back(core::batch_slots(layout));
-  }
-  return apsim::BatchProgram::try_compile(net, slots, {});
+  return core::compile_batch(net, layouts, {});
 }
 
 void BM_BatchSimulatorQueryFrame(benchmark::State& state) {

@@ -26,9 +26,9 @@ using anml::ElementKind;
 using anml::StartKind;
 using anml::SymbolSet;
 
-/// Shape-neutral recognizer output: everything the shared back-end needs to
-/// emit a compiled program. A lane is one (counter, report) pair; lane l's
-/// dim-i matching state uses match class lane_class[l * dims + i].
+/// Recognizer output: everything the back-end needs to emit a compiled
+/// program. A lane is one (counter, report) pair; lane l's dim-i matching
+/// state uses match class lane_class[l * dims + i].
 struct BatchProgram::LaneTable {
   MacroFamily family = MacroFamily::kHamming;
   std::size_t lanes = 0;
@@ -44,9 +44,9 @@ struct BatchProgram::LaneTable {
 
 namespace {
 
-/// Structural role of an element inside the macro set. kMatch doubles as
-/// the packed shape's value-state role (both are per-dimension matching
-/// states; only their fan-out wiring differs).
+/// Structural role of an element inside the macro set. kMatch is a
+/// per-dimension value (matching) state: a macro's own matching state, or
+/// one of a packed group's shared value states.
 enum class Role : std::uint8_t {
   kUnassigned,
   kGuard,
@@ -60,10 +60,9 @@ enum class Role : std::uint8_t {
   kReport,
 };
 
-/// (role, owner, pos) of one element. `owner` is the macro index for the
-/// plain shape; for the packed shape it is the group index on shared roles
-/// (guard/chain/match/bridge/sort/eof) and the LANE index on per-lane roles
-/// (collector/counter/report).
+/// (role, owner, pos) of one element. `owner` is the group index on shared
+/// roles (guard/chain/match/bridge/sort/eof) and the LANE index on per-lane
+/// roles (collector/counter/report).
 struct Slot {
   Role role = Role::kUnassigned;
   std::uint32_t owner = 0;
@@ -129,12 +128,11 @@ constexpr std::uint8_t kSawFirst = 1;    // chain succ / collector parent / ...
 constexpr std::uint8_t kSawSecond = 2;   // match succ / counter enable
 constexpr std::uint8_t kSawThird = 4;    // sort -> eof
 
-/// Shape-independent per-element checks shared by both recognizers: element
-/// kinds, start kinds, reporting flags, guard/EOF single-symbol uniformity,
+/// Per-element checks of the recognizer: element kinds, start kinds, reporting flags, guard/EOF single-symbol uniformity,
 /// match-class interning (into `classes`, recorded per element in
 /// `elem_class`), counter mode/threshold. Returns "" on success, else the
 /// failure reason. The sort-class check needs the resolved EOF symbol and
-/// stays with the callers.
+/// stays with the caller.
 std::string check_element_properties(const anml::AutomataNetwork& network,
                                      const std::vector<Slot>& slots,
                                      std::size_t dims, int& sof, int& eof,
@@ -189,7 +187,7 @@ std::string check_element_properties(const anml::AutomataNetwork& network,
         }
         break;
       case Role::kSort:
-        break;  // checked against eof by the callers
+        break;  // checked against eof by the caller
       case Role::kCounter:
         if (e.kind != ElementKind::kCounter ||
             e.mode != anml::CounterMode::kPulse ||
@@ -222,271 +220,8 @@ std::uint64_t transpose8x8(std::uint64_t x) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Plain Hamming/sorting macros (also the multiplexed per-slice replicas,
-// which differ only in their matching-state classes).
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
-    const anml::AutomataNetwork& network,
-    std::span<const HammingMacroSlots> macros, SimOptions options,
-    std::string* reason) {
-  const auto fail = [&](const std::string& why) {
-    if (reason != nullptr) {
-      *reason = why;
-    }
-    return std::shared_ptr<const BatchProgram>{};
-  };
-
-  if (options.max_counter_increment != 1) {
-    return fail("bit-parallel backend requires max_counter_increment == 1 "
-                "(enables must OR together)");
-  }
-  if (macros.empty()) {
-    return fail("no macros");
-  }
-  const std::size_t n = macros.size();
-  const std::size_t dims = macros[0].match.size();
-  const std::size_t levels = macros[0].collector_levels;
-  if (dims == 0) {
-    return fail("macro has zero dimensions");
-  }
-  if (levels == 0 || levels > 63) {
-    return fail("collector depth outside [1, 63]");
-  }
-
-  // --- Assign every element a (role, macro, position) ----------------------
-  std::vector<Slot> slots(network.size());
-  const auto assign = [&](ElementId id, Role role, std::size_t macro,
-                          std::size_t pos) {
-    if (id >= network.size() || slots[id].role != Role::kUnassigned) {
-      return false;
-    }
-    slots[id] = {role, static_cast<std::uint32_t>(macro),
-                 static_cast<std::uint32_t>(pos)};
-    return true;
-  };
-  for (std::size_t m = 0; m < n; ++m) {
-    const HammingMacroSlots& s = macros[m];
-    if (s.match.size() != dims || s.chain.size() != dims ||
-        s.collector_levels != levels || s.bridge.size() != levels) {
-      return fail("macros are not structurally identical");
-    }
-    if (m > 0 && s.counter <= macros[m - 1].counter) {
-      return fail("macros are not in counter creation order "
-                  "(within-cycle report order would diverge)");
-    }
-    bool ok = assign(s.guard, Role::kGuard, m, 0) &&
-              assign(s.sort_state, Role::kSort, m, 0) &&
-              assign(s.eof_state, Role::kEof, m, 0) &&
-              assign(s.counter, Role::kCounter, m, 0) &&
-              assign(s.report, Role::kReport, m, 0);
-    for (std::size_t i = 0; ok && i < dims; ++i) {
-      ok = assign(s.chain[i], Role::kChain, m, i) &&
-           assign(s.match[i], Role::kMatch, m, i);
-    }
-    for (std::size_t i = 0; ok && i < s.collectors.size(); ++i) {
-      ok = assign(s.collectors[i], Role::kCollector, m, i);
-    }
-    for (std::size_t i = 0; ok && i < levels; ++i) {
-      ok = assign(s.bridge[i], Role::kBridge, m, i);
-    }
-    if (!ok) {
-      return fail("macro slot ids out of range or shared between macros");
-    }
-  }
-  for (ElementId id = 0; id < network.size(); ++id) {
-    if (slots[id].role == Role::kUnassigned) {
-      return fail("network contains elements outside the macro set");
-    }
-  }
-
-  // --- Element property checks + match-class discovery ---------------------
-  LaneTable lanes;
-  lanes.lanes = n;
-  lanes.dims = dims;
-  lanes.levels = levels;
-  std::vector<std::uint8_t> elem_class(network.size(), 0);
-  if (const std::string why = check_element_properties(
-          network, slots, dims, lanes.sof, lanes.eof, lanes.classes,
-          elem_class);
-      !why.empty()) {
-    return fail(why);
-  }
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!(network.element(macros[m].sort_state).symbols ==
-          SymbolSet::all_except(static_cast<std::uint8_t>(lanes.eof)))) {
-      return fail("sort class must be all-except-eof");
-    }
-  }
-
-  // --- Edge checks ----------------------------------------------------------
-  // Every edge must be one of the macro's internal connections; collector
-  // levels are recomputed from the wiring so the delay-line equivalence
-  // (every match -> counter path has length exactly L) is verified, not
-  // assumed.
-  std::vector<std::uint8_t> saw(network.size(), 0);
-  std::vector<std::int32_t> collector_level(network.size(), -1);
-  std::vector<std::vector<ElementId>> collector_in(network.size());
-  for (const anml::Edge& edge : network.edges()) {
-    if (edge.from >= network.size() || edge.to >= network.size()) {
-      return fail("edge endpoint out of range");
-    }
-    const Slot& a = slots[edge.from];
-    const Slot& b = slots[edge.to];
-    if (a.owner != b.owner) {
-      return fail("edge crosses macros");
-    }
-    const bool reset_port = edge.port == CounterPort::kReset;
-    if (edge.port == CounterPort::kThreshold) {
-      return fail("dynamic-threshold edge");
-    }
-    bool legal = false;
-    switch (a.role) {
-      case Role::kGuard:
-        legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                b.pos == 0 && !reset_port;
-        if (legal) {
-          saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-        }
-        break;
-      case Role::kChain:
-        if (a.pos + 1 < dims) {
-          legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                  b.pos == a.pos + 1 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-          }
-        } else {
-          legal = b.role == Role::kBridge && b.pos == 0 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= kSawFirst;
-          }
-        }
-        break;
-      case Role::kMatch:
-        legal = b.role == Role::kCollector && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          collector_in[edge.to].push_back(edge.from);
-        }
-        break;
-      case Role::kCollector:
-        legal = (b.role == Role::kCollector || b.role == Role::kCounter) &&
-                !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          if (b.role == Role::kCollector) {
-            collector_in[edge.to].push_back(edge.from);
-          } else {
-            saw[edge.from] |= kSawSecond;  // root: feeds the counter directly
-          }
-        }
-        break;
-      case Role::kBridge:
-        if (a.pos + 1 < levels) {
-          legal = b.role == Role::kBridge && b.pos == a.pos + 1 && !reset_port;
-        } else {
-          legal = b.role == Role::kSort && !reset_port;
-        }
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kSort:
-        legal = !reset_port &&
-                ((b.role == Role::kSort && edge.to == edge.from) ||
-                 b.role == Role::kCounter || b.role == Role::kEof);
-        if (legal) {
-          saw[edge.from] |= b.role == Role::kSort    ? kSawFirst
-                            : b.role == Role::kCounter ? kSawSecond
-                                                       : kSawThird;
-        }
-        break;
-      case Role::kEof:
-        legal = b.role == Role::kCounter && reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kCounter:
-        legal = b.role == Role::kReport && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kReport:
-      case Role::kUnassigned:
-        legal = false;
-        break;
-    }
-    if (!legal) {
-      return fail("unexpected edge for the Hamming/sorting macro shape");
-    }
-  }
-
-  // Collector depth: slots list collectors in creation order (level by
-  // level), so inputs are always assigned before their parent is visited.
-  for (std::size_t m = 0; m < n; ++m) {
-    for (const ElementId c : macros[m].collectors) {
-      if (collector_in[c].empty()) {
-        return fail("collector with no inputs");
-      }
-      std::int32_t level = -2;
-      for (const ElementId src : collector_in[c]) {
-        const std::int32_t in_level =
-            slots[src].role == Role::kMatch ? 0 : collector_level[src];
-        if (in_level < 0 || (level != -2 && in_level != level)) {
-          return fail("collector tree depth is not uniform");
-        }
-        level = in_level;
-      }
-      collector_level[c] = level + 1;
-      const bool is_root = (saw[c] & kSawSecond) != 0;
-      if (is_root != (collector_level[c] == static_cast<std::int32_t>(levels))) {
-        return fail("collector root depth != collector_levels");
-      }
-    }
-  }
-
-  // Required out-edges present?
-  for (ElementId id = 0; id < network.size(); ++id) {
-    std::uint8_t need = 0;
-    switch (slots[id].role) {
-      case Role::kGuard: need = kSawFirst | kSawSecond; break;
-      case Role::kChain:
-        need = slots[id].pos + 1 < dims ? (kSawFirst | kSawSecond) : kSawFirst;
-        break;
-      case Role::kMatch: need = kSawFirst; break;
-      case Role::kCollector: need = kSawFirst; break;
-      case Role::kBridge: need = kSawFirst; break;
-      case Role::kSort: need = kSawFirst | kSawSecond | kSawThird; break;
-      case Role::kEof: need = kSawFirst; break;
-      case Role::kCounter: need = kSawFirst; break;
-      case Role::kReport:
-      case Role::kUnassigned: need = 0; break;
-    }
-    if ((saw[id] & need) != need) {
-      return fail("macro is missing a required connection");
-    }
-  }
-
-  // --- Emit the lane table --------------------------------------------------
-  lanes.family = detect_hamming_family(lanes.classes);
-  lanes.lane_class.resize(n * dims);
-  lanes.report_elem.resize(n);
-  lanes.report_code.resize(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    lanes.report_elem[m] = macros[m].report;
-    lanes.report_code[m] = network.element(macros[m].report).report_code;
-    for (std::size_t i = 0; i < dims; ++i) {
-      lanes.lane_class[m * dims + i] = elem_class[macros[m].match[i]];
-    }
-  }
-  return compile_lanes(lanes);
-}
-
-// ---------------------------------------------------------------------------
-// Vector-packed groups (shared ladder, per-lane collectors/counter/report).
+// The recognizer: macro groups (shared ladder, per-lane collectors/counter/
+// report). A plain or multiplexed macro is a group of one lane.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
@@ -505,12 +240,13 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
                 "(enables must OR together)");
   }
   if (groups.empty()) {
-    return fail("no packed groups");
+    return fail("no macro groups");
   }
   const std::size_t dims = groups[0].chain.size();
   const std::size_t levels = groups[0].collector_levels;
+  const bool packed = groups[0].packed();
   if (dims == 0) {
-    return fail("packed group has zero dimensions");
+    return fail("macro group has zero dimensions");
   }
   if (levels == 0 || levels > 63) {
     return fail("collector depth outside [1, 63]");
@@ -537,22 +273,24 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const std::size_t count = s.counters.size();
     if (count == 0 || s.reports.size() != count ||
         s.collectors.size() != count) {
-      return fail("packed group lane spans are inconsistent");
+      return fail("group lane spans are inconsistent");
     }
-    if (s.chain.size() != dims || s.value_states.size() != dims ||
-        s.collector_levels != levels || s.bridge.size() != levels) {
-      return fail("packed groups are not structurally identical");
+    if (s.packed() != packed || s.chain.size() != dims ||
+        s.value_dims() != dims || s.collector_levels != levels ||
+        s.bridge.size() != levels) {
+      return fail("macro groups are not structurally identical");
     }
     bool ok = assign(s.guard, Role::kGuard, g, 0) &&
               assign(s.sort_state, Role::kSort, g, 0) &&
               assign(s.eof_state, Role::kEof, g, 0);
     for (std::size_t i = 0; ok && i < dims; ++i) {
       ok = assign(s.chain[i], Role::kChain, g, i);
-      if (ok && (s.value_states[i].empty() || s.value_states[i].size() > 2)) {
+      const std::span<const ElementId> values = s.values(i);
+      if (ok && (values.empty() || values.size() > 2)) {
         return fail("dimension must carry one or two value states");
       }
-      for (std::size_t v = 0; ok && v < s.value_states[i].size(); ++v) {
-        ok = assign(s.value_states[i][v], Role::kMatch, g, i);
+      for (std::size_t v = 0; ok && v < values.size(); ++v) {
+        ok = assign(values[v], Role::kMatch, g, i);
       }
     }
     for (std::size_t i = 0; ok && i < levels; ++i) {
@@ -562,7 +300,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
       const std::size_t lane = n + v;
       if (prev_counter != anml::kInvalidElement &&
           s.counters[v] <= prev_counter) {
-        return fail("packed lanes are not in counter creation order "
+        return fail("lanes are not in counter creation order "
                     "(within-cycle report order would diverge)");
       }
       prev_counter = s.counters[v];
@@ -573,7 +311,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
       }
     }
     if (!ok) {
-      return fail("packed slot ids out of range or shared between roles");
+      return fail("slot ids out of range or shared between roles");
     }
     lane_group.insert(lane_group.end(), count, static_cast<std::uint32_t>(g));
     n += count;
@@ -586,7 +324,6 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
 
   // --- Element property checks + match-class discovery ---------------------
   LaneTable lanes;
-  lanes.family = MacroFamily::kPacked;
   lanes.lanes = n;
   lanes.dims = dims;
   lanes.levels = levels;
@@ -605,10 +342,13 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
   }
 
   // --- Edge checks ----------------------------------------------------------
-  // As for the plain shape, but the ladder fans out to shared value states
-  // and the sort/eof states fan out to EVERY lane's counter. Value states
-  // must each be driven by the wavefront (a dead leaf would desynchronise
-  // the lanes that collect it), hence the has_driver tracking.
+  // Every edge must be one of the group's internal connections: the ladder
+  // fans out to the value states, and the sort/eof states fan out to EVERY
+  // lane's counter. Value states must each be driven by the wavefront (a
+  // dead leaf would desynchronise the lanes that collect it), hence the
+  // has_driver tracking. Collector levels are recomputed from the wiring
+  // below, so the delay-line equivalence (every value-state -> counter path
+  // has length exactly L) is verified, not assumed.
   std::vector<std::uint8_t> saw(network.size(), 0);
   std::vector<std::uint8_t> has_driver(network.size(), 0);
   std::vector<std::int32_t> collector_level(network.size(), -1);
@@ -726,7 +466,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
         break;
     }
     if (!legal) {
-      return fail("unexpected edge for the packed macro shape");
+      return fail("unexpected edge for the macro group shape");
     }
   }
 
@@ -807,15 +547,17 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
       case Role::kUnassigned: need = 0; break;
     }
     if ((saw[id] & need) != need) {
-      return fail("packed group is missing a required connection");
+      return fail("macro group is missing a required connection");
     }
   }
 
+  lanes.family = packed ? MacroFamily::kPacked
+                        : detect_hamming_family(lanes.classes);
   return compile_lanes(lanes);
 }
 
 // ---------------------------------------------------------------------------
-// Shared back-end: lane table -> packed program.
+// Back-end: lane table -> packed program.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const BatchProgram> BatchProgram::compile_lanes(

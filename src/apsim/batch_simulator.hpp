@@ -16,10 +16,13 @@
 //    replicas — core::build_multiplexed_network), which is the plain shape
 //    with per-slice matching classes.
 //
-// All three reduce to the same compiled form, executed by one interpreter.
-// A "lane" is one (counter, report) pair — a plain or multiplexed macro, or
-// one packed vector within its group. What makes the execution exact (see
-// docs/SIMULATOR_SEMANTICS.md for the contract):
+// One recognizer accepts all three: a plain or multiplexed macro is a
+// packed group of one vector, so every configuration is verified as a
+// span of groups (PackedGroupSlots) and reduced to the same compiled form,
+// executed by one interpreter. A "lane" is one (counter, report) pair — a
+// plain or multiplexed macro, or one packed vector within its group. What
+// makes the execution exact (see docs/SIMULATOR_SEMANTICS.md for the
+// contract):
 //
 //  * The "*" backbone, guard, bridge, sort and EOF states match classes that
 //    do not depend on the encoded vector, so their activity is IDENTICAL
@@ -109,42 +112,42 @@ struct BatchProgramState {
   bool operator==(const BatchProgramState&) const = default;
 };
 
-/// Element ids of one plain Hamming/sorting macro inside a configuration
-/// network (a layering-neutral mirror of core::MacroLayout; see
-/// core::batch_slots()). Spans must stay valid for the try_compile call
-/// only. Multiplexed macros (core::build_multiplexed_network) use this
-/// same shape — only their matching-state classes differ per slice.
-struct HammingMacroSlots {
-  anml::ElementId guard = anml::kInvalidElement;
-  std::span<const anml::ElementId> chain;       ///< "*" backbone, one per dim
-  std::span<const anml::ElementId> match;       ///< matching state per dim
-  std::span<const anml::ElementId> collectors;  ///< reduction-tree nodes
-  std::span<const anml::ElementId> bridge;      ///< sort-alignment delay chain
-  anml::ElementId sort_state = anml::kInvalidElement;
-  anml::ElementId eof_state = anml::kInvalidElement;
-  anml::ElementId counter = anml::kInvalidElement;
-  anml::ElementId report = anml::kInvalidElement;
-  std::size_t collector_levels = 1;  ///< tree depth L
-};
-
-/// Element ids of one vector-packed group (a layering-neutral mirror of
-/// core::PackedGroupLayout; see core::packed_batch_slots()). The guard,
-/// backbone, bridge, sort and EOF states are shared by every vector of the
-/// group; each vector keeps its own collectors, counter and report (one
-/// LANE each). Spans must stay valid for the try_compile call only.
+/// Element ids of one macro group: the guard, backbone, bridge, sort and
+/// EOF states are shared by every vector of the group; each vector keeps
+/// its own collectors, counter and report (one LANE each). A vector-packed
+/// group (core::PackedGroupLayout) has one lane per packed vector; a plain
+/// or multiplexed macro (core::MacroLayout) is a group of one lane. See
+/// core::packed_batch_slots(). Spans must stay valid for the try_compile
+/// call only.
 struct PackedGroupSlots {
   anml::ElementId guard = anml::kInvalidElement;
   std::span<const anml::ElementId> chain;  ///< shared "*" ladder, one per dim
-  /// Distinct-value states at each dimension (1 or 2 entries per dim).
+  /// The value (matching) states, in the form of the caller's layout: a
+  /// packed group lists the 1 or 2 distinct-value states of dimension i in
+  /// value_states[i]; a macro has exactly one per dimension, match[i].
+  /// Exactly one of the two is set, and it decides the program's family:
+  /// kPacked for value_states, else plain or multiplexed by match class.
   std::span<const std::vector<anml::ElementId>> value_states;
+  std::span<const anml::ElementId> match;
   std::span<const anml::ElementId> bridge;  ///< shared delay chain, L states
   anml::ElementId sort_state = anml::kInvalidElement;
   anml::ElementId eof_state = anml::kInvalidElement;
-  std::span<const anml::ElementId> counters;  ///< one per packed vector
-  std::span<const anml::ElementId> reports;   ///< one per packed vector
-  /// Per packed vector: that vector's collector-tree nodes, level by level.
+  std::span<const anml::ElementId> counters;  ///< one per lane
+  std::span<const anml::ElementId> reports;   ///< one per lane
+  /// Per lane: that lane's collector-tree nodes, level by level.
   std::span<const std::vector<anml::ElementId>> collectors;
   std::size_t collector_levels = 1;  ///< tree depth L (1 for flat collectors)
+
+  bool packed() const noexcept { return !value_states.empty(); }
+  /// Dimensions the value states cover.
+  std::size_t value_dims() const noexcept {
+    return packed() ? value_states.size() : match.size();
+  }
+  /// The value states of dimension i (i < value_dims()).
+  std::span<const anml::ElementId> values(std::size_t i) const {
+    return packed() ? std::span<const anml::ElementId>(value_states[i])
+                    : match.subspan(i, 1);
+  }
 };
 
 /// Immutable compiled form of one configuration: per-symbol class
@@ -153,21 +156,14 @@ struct PackedGroupSlots {
 /// its own BatchSimulator.
 class BatchProgram {
  public:
-  /// Verifies that (network, macros) is a supported homogeneous macro
-  /// configuration under `options` — the plain Hamming/sorting shape or
-  /// its multiplexed per-slice variant — and compiles it. Returns nullptr
-  /// (and fills *reason when non-null) if any structural or feature
+  /// Verifies that (network, groups) is a supported homogeneous macro
+  /// configuration under `options` and compiles it: every group must share
+  /// the guard/backbone/bridge/sort/EOF structure, every lane's collector
+  /// tree must reach its counter in exactly collector_levels steps covering
+  /// each dimension exactly once, and lanes must appear in ascending
+  /// counter-id order (the reference simulator's report order). Returns
+  /// nullptr (and fills *reason when non-null) if any structural or feature
   /// requirement fails — callers then use the cycle-accurate Simulator.
-  static std::shared_ptr<const BatchProgram> try_compile(
-      const anml::AutomataNetwork& network,
-      std::span<const HammingMacroSlots> macros, SimOptions options,
-      std::string* reason = nullptr);
-
-  /// Same contract for the vector-packed shape: every group must share the
-  /// guard/backbone/bridge/sort/EOF structure, every lane's collector tree
-  /// must reach its counter in exactly collector_levels steps covering each
-  /// dimension exactly once, and lanes must appear in ascending counter-id
-  /// order (the reference simulator's report order).
   static std::shared_ptr<const BatchProgram> try_compile(
       const anml::AutomataNetwork& network,
       std::span<const PackedGroupSlots> groups, SimOptions options,
@@ -191,8 +187,8 @@ class BatchProgram {
   /// Lanes in the configuration (= macros for the plain/multiplexed
   /// shapes, = packed vectors summed over groups for the packed shape).
   std::size_t macro_count() const noexcept { return macro_count_; }
-  /// Which macro shape this program was compiled from: kPacked for the
-  /// packed overload; the plain overload reports kMultiplexed when the
+  /// Which macro shape this program was compiled from: kPacked for
+  /// packed-group layouts; for macro layouts kMultiplexed when the
   /// matching classes are slice-ternary pairs spanning more than one bit
   /// slice (the Fig. 6 encoding), else kHamming.
   MacroFamily family() const noexcept { return family_; }
@@ -209,9 +205,9 @@ class BatchProgram {
   friend class BatchSimulator;
   BatchProgram() = default;
 
-  /// Shape-neutral recognizer output (defined in batch_simulator.cpp):
-  /// both try_compile overloads reduce their verified structure to a lane
-  /// table, and this shared back-end packs it into a program.
+  /// Recognizer output (defined in batch_simulator.cpp): try_compile
+  /// reduces the verified structure to a lane table, and compile_lanes
+  /// packs it into a program.
   struct LaneTable;
   static std::shared_ptr<const BatchProgram> compile_lanes(
       const LaneTable& lanes);

@@ -2,7 +2,7 @@
 // Bridge from the core macro builders to the bit-parallel backend: views
 // a core::MacroLayout (plain or multiplexed Hamming macro) or a
 // core::PackedGroupLayout (vector-packed group) as the layering-neutral
-// slot structs that apsim::BatchProgram::try_compile consumes. Lives apart
+// group slots that apsim::BatchProgram::try_compile consumes. Lives apart
 // from the builder headers so macro construction does not drag in the
 // simulator headers.
 
@@ -17,48 +17,52 @@
 
 namespace apss::core {
 
-/// Layout view consumed by apsim::BatchProgram::try_compile. The spans
-/// alias `layout`, which must outlive the returned value.
-inline apsim::HammingMacroSlots batch_slots(const MacroLayout& layout) {
-  return {layout.guard,      layout.chain,     layout.match,
-          layout.collectors, layout.bridge,    layout.sort_state,
-          layout.eof_state,  layout.counter,   layout.report,
-          layout.collector_levels};
+/// A plain or multiplexed macro viewed as a packed group of one lane. The
+/// spans alias `layout`, which must outlive the returned value.
+inline apsim::PackedGroupSlots packed_batch_slots(const MacroLayout& layout) {
+  apsim::PackedGroupSlots s;
+  s.guard = layout.guard;
+  s.chain = layout.chain;
+  s.match = layout.match;
+  s.bridge = layout.bridge;
+  s.sort_state = layout.sort_state;
+  s.eof_state = layout.eof_state;
+  s.counters = {&layout.counter, 1};
+  s.reports = {&layout.report, 1};
+  s.collectors = {&layout.collectors, 1};
+  s.collector_levels = layout.collector_levels;
+  return s;
 }
 
-/// Packed-group view consumed by the packed try_compile overload. The
-/// spans alias `layout`, which must outlive the returned value.
+/// Group view of a vector-packed group. The spans alias `layout`, which
+/// must outlive the returned value.
 inline apsim::PackedGroupSlots packed_batch_slots(
     const PackedGroupLayout& layout) {
-  return {layout.guard,      layout.chain,   layout.value_states,
-          layout.bridge,     layout.sort_state, layout.eof_state,
-          layout.counters,   layout.reports, layout.collectors,
-          layout.collector_levels};
+  apsim::PackedGroupSlots s;
+  s.guard = layout.guard;
+  s.chain = layout.chain;
+  s.value_states = layout.value_states;
+  s.bridge = layout.bridge;
+  s.sort_state = layout.sort_state;
+  s.eof_state = layout.eof_state;
+  s.counters = layout.counters;
+  s.reports = layout.reports;
+  s.collectors = layout.collectors;
+  s.collector_levels = layout.collector_levels;
+  return s;
 }
 
-/// try_compile over builder layouts for the plain/multiplexed shape: builds
-/// the slot views and hands them to the plain overload. Pure function of
-/// its arguments — safe to run concurrently over independent partitions
-/// (the engine compiles configuration shards on the thread pool).
-inline std::shared_ptr<const apsim::BatchProgram> compile_hamming_batch(
-    const anml::AutomataNetwork& network, std::span<const MacroLayout> layouts,
+/// try_compile over builder layouts of one kind (MacroLayout or
+/// PackedGroupLayout): builds the group views and hands them to the
+/// recognizer. Pure function of its arguments — safe to run concurrently
+/// over independent networks.
+template <typename Layout>
+std::shared_ptr<const apsim::BatchProgram> compile_batch(
+    const anml::AutomataNetwork& network, const std::vector<Layout>& layouts,
     apsim::SimOptions options, std::string* reason = nullptr) {
-  std::vector<apsim::HammingMacroSlots> slots;
-  slots.reserve(layouts.size());
-  for (const MacroLayout& layout : layouts) {
-    slots.push_back(batch_slots(layout));
-  }
-  return apsim::BatchProgram::try_compile(network, slots, options, reason);
-}
-
-/// Same bridge for the vector-packed shape.
-inline std::shared_ptr<const apsim::BatchProgram> compile_packed_batch(
-    const anml::AutomataNetwork& network,
-    std::span<const PackedGroupLayout> layouts, apsim::SimOptions options,
-    std::string* reason = nullptr) {
   std::vector<apsim::PackedGroupSlots> slots;
   slots.reserve(layouts.size());
-  for (const PackedGroupLayout& layout : layouts) {
+  for (const Layout& layout : layouts) {
     slots.push_back(packed_batch_slots(layout));
   }
   return apsim::BatchProgram::try_compile(network, slots, options, reason);

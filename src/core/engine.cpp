@@ -150,7 +150,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   // that configuration runs on the cycle-accurate simulator. With an
   // artifact cache directory, each configuration first tries to LOAD its
   // program — a hit skips both the network construction and the
-  // verification compile (network(i) rebuilds lazily if inspected).
+  // verification compile. A compiled configuration then drops its network,
+  // so both hold the program only (network(i) rebuilds lazily if
+  // inspected; only cycle-accurate configurations keep theirs).
   // Partitions are independent, so configuration shards compile on the
   // worker pool; each shard records its own decline reason and cache
   // outcome and the reduce below walks shards in configuration order, so
@@ -197,11 +199,18 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     std::vector<PackedGroupLayout> packed_layouts;
     build_network(p, &hamming_layouts, &packed_layouts);
     if (options_.backend == SimulationBackend::kBitParallel) {
-      p.program =
-          packed ? compile_packed_batch(*p.network, packed_layouts,
-                                        sim_options, &decline_reasons[c])
-                 : compile_hamming_batch(*p.network, hamming_layouts,
-                                         sim_options, &decline_reasons[c]);
+      // build_network fills one of the two; a plain or multiplexed macro
+      // compiles as a packed group of one lane.
+      std::vector<apsim::PackedGroupSlots> slots;
+      slots.reserve(hamming_layouts.size() + packed_layouts.size());
+      for (const MacroLayout& layout : hamming_layouts) {
+        slots.push_back(packed_batch_slots(layout));
+      }
+      for (const PackedGroupLayout& layout : packed_layouts) {
+        slots.push_back(packed_batch_slots(layout));
+      }
+      p.program = apsim::BatchProgram::try_compile(
+          *p.network, slots, sim_options, &decline_reasons[c]);
       if (cache_enabled && p.program != nullptr) {
         // Best-effort: an unwritable cache degrades to compile-every-time,
         // it never fails construction.
@@ -209,6 +218,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
         store_program(artifact_cache_file(c), artifact_meta(p), p.program,
                       nullptr, &store_retries);
         cache_stats[c].io_retries += store_retries;
+      }
+      if (p.program != nullptr) {
+        p.network.reset();
       }
     }
   };
@@ -505,9 +517,10 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     std::uint32_t retries = 0;
   };
   std::vector<ShardOutcome> outcomes(shards.size());
-  // Degrading a shard of an artifact-cache-hit configuration needs the
-  // automata network, which was never built; the lazy rebuild mutates the
-  // partition, so it is serialized (plain runs never take this lock).
+  // Degrading a shard of a bit-parallel configuration needs the automata
+  // network, which was dropped after compile (or never built on a cache
+  // hit); the lazy rebuild mutates the partition, so it is serialized
+  // (plain runs never take this lock).
   std::mutex degrade_mutex;
 
   // Each worker owns its simulator scratch state and reuses it across the
@@ -538,8 +551,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
           batch = std::make_unique<apsim::BatchSimulator>(part.program,
                                                           options_.lane_width);
         } else if (part.program != nullptr) {
-          // Degrade path: the network may be absent (cache hit skipped
-          // construction) and other workers may degrade shards of the same
+          // Degrade path: the network is absent until the first degrade
+          // rebuilds it, and other workers may degrade shards of the same
           // configuration concurrently.
           std::lock_guard<std::mutex> lock(degrade_mutex);
           ensure_network(part);

@@ -339,9 +339,12 @@ class ApKnnEngine {
 
   /// The compiled automata network of configuration `i` (for inspection,
   /// ANML export, and resource benches). Configurations satisfied from the
-  /// artifact cache skip network construction; the network is rebuilt
-  /// lazily — and deterministically — on first access. Not safe to call
-  /// concurrently with itself or placement() for the same `i`.
+  /// artifact cache skip network construction, and a configuration the
+  /// bit-parallel backend compiled drops its network once the program
+  /// exists (only the cycle-accurate path simulates it); either way the
+  /// network is rebuilt lazily — and deterministically — on first access.
+  /// Not safe to call concurrently with itself or placement() for the
+  /// same `i`.
   const anml::AutomataNetwork& network(std::size_t i) const;
 
   /// Placement report of configuration `i` on the configured board.
@@ -379,7 +382,8 @@ class ApKnnEngine {
   struct Partition {
     std::size_t begin = 0;  ///< first global vector id
     std::size_t count = 0;
-    /// Null after an artifact-cache hit until network()/placement() rebuild
+    /// Null whenever `program` is set (an artifact-cache hit never builds
+    /// it; a fresh compile drops it) until network()/placement() rebuild
     /// it lazily (mutable: rebuilding does not change observable state —
     /// construction is deterministic, so the rebuilt network is the one the
     /// compile path would have produced).

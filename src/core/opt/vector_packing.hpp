@@ -39,7 +39,8 @@ struct VectorPackingOptions {
 };
 
 /// Element ids of one packed group, for introspection, the bit-parallel
-/// compiler (core::packed_batch_slots), and tests. Invariants: the shared
+/// compiler (core::packed_batch_slots, which views a plain MacroLayout as
+/// a group of one vector too), and tests. Invariants: the shared
 /// spans have one entry per dimension (chain, value_states) or per level
 /// (bridge); counters/reports/collectors have one entry per packed vector,
 /// in counter creation order; every per-vector collector tree has depth

@@ -87,11 +87,11 @@ struct MuxConfig {
   core::StreamSpec spec;
   std::size_t slices = 1;
 
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
+  std::vector<PackedGroupSlots> slots() const {
+    std::vector<PackedGroupSlots> s;
     s.reserve(layouts.size());
     for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
+      s.push_back(core::packed_batch_slots(l));
     }
     return s;
   }

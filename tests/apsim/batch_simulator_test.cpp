@@ -30,11 +30,11 @@ struct Config {
   std::vector<core::MacroLayout> layouts;
   core::StreamSpec spec;
 
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
+  std::vector<PackedGroupSlots> slots() const {
+    std::vector<PackedGroupSlots> s;
     s.reserve(layouts.size());
     for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
+      s.push_back(core::packed_batch_slots(l));
     }
     return s;
   }

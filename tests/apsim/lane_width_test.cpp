@@ -55,11 +55,11 @@ struct Config {
   std::vector<core::MacroLayout> layouts;
   core::StreamSpec spec;
 
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
+  std::vector<PackedGroupSlots> slots() const {
+    std::vector<PackedGroupSlots> s;
     s.reserve(layouts.size());
     for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
+      s.push_back(core::packed_batch_slots(l));
     }
     return s;
   }
@@ -307,10 +307,10 @@ TEST(LaneWidthSweep, MultiplexedFamilyRunsAtEveryWidth) {
   anml::AutomataNetwork network;
   const auto layouts =
       core::build_multiplexed_network(network, data, slices, {});
-  std::vector<HammingMacroSlots> slots;
+  std::vector<PackedGroupSlots> slots;
   slots.reserve(layouts.size());
   for (const core::MacroLayout& l : layouts) {
-    slots.push_back(core::batch_slots(l));
+    slots.push_back(core::packed_batch_slots(l));
   }
   std::string reason;
   const auto program = BatchProgram::try_compile(network, slots, {}, &reason);
@@ -533,9 +533,9 @@ TEST(LaneWidthSweep, BoundedRunOnArbitraryInteriorSymbols) {
       anml::AutomataNetwork network;
       const auto layouts = core::build_multiplexed_network(
           network, test::random_dataset(rng, 11, dims), 7, {});
-      std::vector<HammingMacroSlots> slots;
+      std::vector<PackedGroupSlots> slots;
       for (const core::MacroLayout& l : layouts) {
-        slots.push_back(core::batch_slots(l));
+        slots.push_back(core::packed_batch_slots(l));
       }
       const core::StreamSpec spec{dims, core::collector_levels_for(dims, {})};
       check(network, BatchProgram::try_compile(network, slots, {}), spec,

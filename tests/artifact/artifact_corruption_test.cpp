@@ -37,7 +37,7 @@ std::vector<std::uint8_t> make_artifact_bytes() {
   }
   std::string reason;
   artifact::Artifact a;
-  a.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  a.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(a.program, nullptr) << reason;
   a.meta.key_hash = 0xabcdef;
   a.meta.builder = "fuzz-test";
@@ -156,7 +156,7 @@ TEST(ArtifactCorruption, FromStateRejectsInvariantViolations) {
         net, data.vector(i), static_cast<std::uint32_t>(i), {}));
   }
   std::string reason;
-  const auto program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  const auto program = core::compile_batch(net, layouts, {}, &reason);
   ASSERT_NE(program, nullptr) << reason;
   const apsim::BatchProgramState good = program->state();
   ASSERT_NE(apsim::BatchProgram::from_state(good), nullptr);

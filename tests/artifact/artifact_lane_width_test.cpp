@@ -65,7 +65,7 @@ Built build_hamming(std::size_t n, std::size_t dims, std::uint64_t seed) {
   }
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -82,7 +82,7 @@ Built build_packed(std::size_t n, std::size_t dims, std::size_t group,
   const auto layouts = core::build_packed_network(net, b.data, opt);
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_packed_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -96,7 +96,7 @@ Built build_multiplexed(std::size_t n, std::size_t dims, std::size_t slices,
   const auto layouts = core::build_multiplexed_network(net, b.data, slices, {});
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }

@@ -52,7 +52,7 @@ Built build_hamming(std::size_t n, std::size_t dims, std::uint64_t seed,
   }
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -69,7 +69,7 @@ Built build_packed(std::size_t n, std::size_t dims, std::size_t group,
   const auto layouts = core::build_packed_network(net, b.data, opt);
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_packed_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -84,7 +84,7 @@ Built build_multiplexed(std::size_t n, std::size_t dims, std::size_t slices,
       core::build_multiplexed_network(net, b.data, slices, {});
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = core::compile_batch(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -207,6 +207,13 @@ TEST(ArtifactRoundTrip, EngineCacheIsInvisibleToResults) {
   EXPECT_EQ(cold.backend_stats().artifact.hits, 0u);
   EXPECT_EQ(cold.search(queries, 3), expected);
   EXPECT_EQ(cold.last_report_stream(), expected_stream);
+  // A compiled configuration drops its network; the lazy rebuild matches
+  // the network a cycle-accurate configuration built and kept.
+  core::EngineOptions accurate = base;
+  accurate.backend = core::SimulationBackend::kCycleAccurate;
+  const core::ApKnnEngine kept(data, accurate);
+  EXPECT_EQ(anml::network_digest(cold.network(1)),
+            anml::network_digest(kept.network(1)));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     core::EngineOptions warm = cached;

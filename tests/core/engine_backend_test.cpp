@@ -99,7 +99,7 @@ TEST(EngineBackend, WideDimsUseDeeperCollectorTrees) {
 
 TEST(EngineBackend, PackedConfigurationsCompileAndMatch) {
   // Vector-packed configurations (Sec. VI-A) take the fast path too: the
-  // packed try_compile overload must accept every engine-built group and
+  // recognizer must accept every engine-built group and
   // search() must stay identical to the cycle-accurate reference.
   util::Rng rng(310);
   for (const auto style :
