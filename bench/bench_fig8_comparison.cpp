@@ -15,8 +15,10 @@
 // stream exactly (knn_lane_width_sweep records, with the resolved ISA).
 //
 // A last section times the engine against the CPU exact scan
-// (knn::batch_knn) on 256 queries at 1 thread: the knn_engine_vs_cpu_scan
-// record, gated in CI.
+// (knn::batch_knn) on 256 queries at 1 thread, with the engine's host
+// phases: the knn_engine_vs_cpu_scan record at k=10, and the
+// knn_engine_vs_cpu_scan_k1000 record at k=1000 over 4n vectors in four
+// configurations. CI gates both.
 //
 // Usage: bench_fig8_comparison [n] [dims] [queries]   (defaults 1024 128 32)
 
@@ -322,14 +324,18 @@ int run_lane_width_sweep(util::BenchReport& report, std::size_t n,
   return errors == 0 ? 0 : 1;
 }
 
-/// The honest baseline: engine search() at the fig8 point — bit-parallel,
-/// 1 thread, report stream not collected, so every frame stops after its
-/// k-th report's cycle — against the CPU exact scan (knn::batch_knn) of the
+/// The honest baseline: engine search() — bit-parallel, 1 thread, report
+/// stream not collected, so every frame stops after its k-th report's
+/// cycle and each shard writes its neighbour lists straight from the
+/// frame evaluation — against the CPU exact scan (knn::batch_knn) of the
 /// same 256 queries on the same thread. Best of kReps each, alternating.
 /// ratio = scan / engine: above 1 the simulated accelerator beats the scan.
-int run_engine_vs_cpu_scan(util::BenchReport& report, std::size_t n,
-                           std::size_t dims) {
-  const std::size_t k = 10;
+/// The record splits the best engine call into its host phases
+/// (EngineStats::phases). `per_config` caps the vectors per configuration
+/// (0: the board's capacity).
+int run_engine_vs_cpu_scan(util::BenchReport& report, const char* name,
+                           std::size_t n, std::size_t dims, std::size_t k,
+                           std::size_t per_config) {
   constexpr std::size_t kQueries = 256;
   constexpr int kReps = 7;
   const auto data = knn::BinaryDataset::uniform(n, dims, 97);
@@ -337,9 +343,11 @@ int run_engine_vs_cpu_scan(util::BenchReport& report, std::size_t n,
   core::EngineOptions opt;
   opt.backend = core::SimulationBackend::kBitParallel;
   opt.threads = 1;
+  opt.max_vectors_per_config = per_config;
   core::ApKnnEngine engine(data, opt);
   double engine_s = 0.0;
   double scan_s = 0.0;
+  core::PhaseTimes phases;
   std::vector<std::vector<knn::Neighbor>> results;
   for (int rep = 0; rep < kReps; ++rep) {
     util::Timer engine_timer;
@@ -348,7 +356,10 @@ int run_engine_vs_cpu_scan(util::BenchReport& report, std::size_t n,
     util::Timer scan_timer;
     const auto scanned = knn::batch_knn(data, queries, k);
     const double s = scan_timer.seconds();
-    engine_s = rep == 0 ? e : std::min(engine_s, e);
+    if (rep == 0 || e < engine_s) {
+      engine_s = e;
+      phases = engine.last_stats().phases;
+    }
     scan_s = rep == 0 ? s : std::min(scan_s, s);
     if (scanned.size() != results.size()) {
       std::fprintf(stderr, "FAIL: scan returned %zu lists\n", scanned.size());
@@ -364,21 +375,30 @@ int run_engine_vs_cpu_scan(util::BenchReport& report, std::size_t n,
   const core::EngineStats& stats = engine.last_stats();
   const double per_q = 1e6 / static_cast<double>(kQueries);
   const double ratio = engine_s > 0.0 ? scan_s / engine_s : 0.0;
-  std::printf("\nengine vs CPU exact scan (%zux%zu, %zu queries, k=%zu, 1 "
-              "thread, best of %d):\n  engine search() %.2f us/query, "
+  std::printf("\nengine vs CPU exact scan (%zux%zu, %zu configurations, %zu "
+              "queries, k=%zu, 1 thread, best of %d):\n  engine search() "
+              "%.2f us/query (encode %.2f, simulate %.2f, merge %.2f), "
               "knn::batch_knn %.2f us/query -> ratio %.2f (scan/engine); "
               "host cycles skipped %zu of %zu simulated\n",
-              n, dims, kQueries, k, kReps, engine_s * per_q, scan_s * per_q,
-              ratio, stats.host_cycles_skipped, stats.simulated_cycles);
-  report.write(util::BenchRecord("knn_engine_vs_cpu_scan")
+              n, dims, stats.configurations, kQueries, k, kReps,
+              engine_s * per_q, phases.encode_s * per_q,
+              phases.simulate_s * per_q, phases.merge_s * per_q,
+              scan_s * per_q, ratio, stats.host_cycles_skipped,
+              stats.simulated_cycles);
+  report.write(util::BenchRecord(name)
                    .param("n", static_cast<std::uint64_t>(n))
                    .param("dims", static_cast<std::uint64_t>(dims))
                    .param("queries", static_cast<std::uint64_t>(kQueries))
                    .param("k", static_cast<std::uint64_t>(k))
                    .param("threads", std::uint64_t{1})
+                   .param("configurations",
+                          static_cast<std::uint64_t>(stats.configurations))
                    .param("engine_us_per_query", engine_s * per_q)
                    .param("cpu_scan_us_per_query", scan_s * per_q)
                    .param("ratio", ratio)
+                   .param("encode_us_per_query", phases.encode_s * per_q)
+                   .param("simulate_us_per_query", phases.simulate_s * per_q)
+                   .param("merge_us_per_query", phases.merge_s * per_q)
                    .param("host_cycles_skipped",
                           static_cast<std::uint64_t>(
                               stats.host_cycles_skipped))
@@ -406,14 +426,21 @@ int main(int argc, char** argv) try {
   const int backend_rc = run_backend_comparison(report, n, dims, queries);
   const int sweep_rc = run_thread_sweep(report, n, dims, queries);
   const int width_rc = run_lane_width_sweep(report, n, dims, queries);
-  const int scan_rc = run_engine_vs_cpu_scan(report, n, dims);
+  const int scan_rc = run_engine_vs_cpu_scan(report, "knn_engine_vs_cpu_scan",
+                                             n, dims, 10, 0);
+  // Re-ranker candidates (k = 1000) over four configurations of n vectors:
+  // the run the per-configuration merge and the neighbour emission carry.
+  const int scan1000_rc =
+      run_engine_vs_cpu_scan(report, "knn_engine_vs_cpu_scan_k1000", 4 * n,
+                             dims, 1000, n);
   if (report.ok()) {
     std::printf("\nrecorded -> %s\n", report.path().c_str());
   }
   if (grid_rc != 0) return grid_rc;
   if (backend_rc != 0) return backend_rc;
   if (sweep_rc != 0) return sweep_rc;
-  return width_rc != 0 ? width_rc : scan_rc;
+  if (width_rc != 0) return width_rc;
+  return scan_rc != 0 ? scan_rc : scan1000_rc;
 } catch (const std::exception& ex) {
   std::fprintf(stderr, "error: %s\n", ex.what());
   return 1;

@@ -943,9 +943,11 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
           reports_.end()};
 }
 
-std::size_t BatchSimulator::emit_frame(std::size_t max_count,
+std::size_t BatchSimulator::emit_frame(std::size_t frame,
+                                       std::size_t max_count,
                                        std::size_t frame_cycles,
-                                       std::size_t keep) {
+                                       std::size_t keep,
+                                       const NeighborSink* sink) {
   const BatchProgram& p = *program_;
   // Counts never exceed max_count, so only its bit_width low planes of
   // counts_ can be set.
@@ -983,9 +985,17 @@ std::size_t BatchSimulator::emit_frame(std::size_t max_count,
   }
   // 2. Every lane counting >= cut reports, count h at frame offset
   //    frame_cycles - h: larger counts first, ascending lanes within a
-  //    count — a counting sort over h, written straight into reports_.
+  //    count. A counting sort over h, one bucket run per slot (the sink's
+  //    query within the frame; events have one slot): slot s's bucket for
+  //    h is level_end_[s * (levels + 1) + max_count - h + 1].
+  const std::size_t levels = max_count - cut + 1;
+  const std::size_t slots = sink != nullptr ? sink->slots : 1;
+  const bool slotted = sink != nullptr && !sink->lane_slot.empty();
+  const auto slot_of = [&](std::size_t lane) -> std::size_t {
+    return slotted ? sink->lane_slot[lane] : 0;
+  };
   ranked_.clear();
-  level_end_.assign(max_count - cut + 2, 0);  // slot max_count - h + 1
+  level_end_.assign(slots * (levels + 1), 0);
   std::uint64_t word_planes[64] = {};  // count_planes <= bit_width(size_t)
   for (std::size_t w = 0; w < p.words_; ++w) {
     const std::uint64_t reported = above_[w] | tie_[w];
@@ -1018,20 +1028,47 @@ std::size_t BatchSimulator::emit_frame(std::size_t max_count,
       while (bits != 0) {
         const auto j = static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        ranked_.push_back({w * 64 + k + j, counts[j]});
-        ++level_end_[max_count - counts[j] + 1];
+        const std::size_t lane = w * 64 + k + j;
+        ranked_.push_back({lane, counts[j]});
+        ++level_end_[slot_of(lane) * (levels + 1) + max_count - counts[j] +
+                     1];
       }
     }
   }
-  for (std::size_t i = 1; i < level_end_.size(); ++i) {
-    level_end_[i] += level_end_[i - 1];
+  for (std::size_t s = 0; s < slots; ++s) {
+    std::size_t* ends = &level_end_[s * (levels + 1)];
+    for (std::size_t i = 1; i <= levels; ++i) {
+      ends[i] += ends[i - 1];
+    }
   }
-  const std::size_t first = reports_.size();
-  reports_.resize(first + ranked_.size());
-  for (const auto& [lane, h] : ranked_) {
-    reports_[first + level_end_[max_count - h]++] = {
-        cycle_ + frame_cycles - h, p.report_elem_[lane],
-        p.report_code_[lane]};
+  if (sink == nullptr) {
+    const std::size_t first = reports_.size();
+    reports_.resize(first + ranked_.size());
+    for (const auto& [lane, h] : ranked_) {
+      reports_[first + level_end_[max_count - h]++] = {
+          cycle_ + frame_cycles - h, p.report_elem_[lane],
+          p.report_code_[lane]};
+    }
+  } else {
+    // Each slot's list takes the first `limit` of its reports: the report
+    // of rank r within its slot lands at r, or nowhere once r >= limit.
+    for (std::size_t s = 0; s < slots; ++s) {
+      const std::size_t query = frame * slots + s;
+      slot_list_[s] = query < sink->lists.size() ? &sink->lists[query]
+                                                 : nullptr;
+      if (slot_list_[s] != nullptr) {
+        slot_list_[s]->resize(
+            std::min(sink->limit, level_end_[s * (levels + 1) + levels]));
+      }
+    }
+    for (const auto& [lane, h] : ranked_) {
+      const std::size_t s = slot_of(lane);
+      const std::size_t r = level_end_[s * (levels + 1) + max_count - h]++;
+      if (slot_list_[s] != nullptr && r < sink->limit) {
+        (*slot_list_[s])[r] = {sink->lane_id[lane],
+                               static_cast<std::uint32_t>(p.dims_ - h)};
+      }
+    }
   }
   // With keep > lanes no report is the keep-th: the frame runs to its end.
   return keep <= p.macro_count_ ? cut : 0;
@@ -1040,6 +1077,35 @@ std::size_t BatchSimulator::emit_frame(std::size_t max_count,
 std::vector<ReportEvent> BatchSimulator::run_frames(
     std::span<const std::uint8_t> stream, std::size_t frame_cycles,
     std::size_t keep, const util::RunControl& control) {
+  run_frames_to(stream, frame_cycles, keep, nullptr, control);
+  return reports_;
+}
+
+std::uint64_t BatchSimulator::run_frames(std::span<const std::uint8_t> stream,
+                                         std::size_t frame_cycles,
+                                         std::size_t keep,
+                                         const NeighborSink& sink,
+                                         const util::RunControl& control) {
+  const std::size_t lanes = program_->macro_count_;
+  const bool slots_ok =
+      sink.lane_slot.empty() ||
+      (sink.lane_slot.size() == lanes &&
+       std::all_of(sink.lane_slot.begin(), sink.lane_slot.end(),
+                   [&](std::uint8_t s) { return s < sink.slots; }));
+  if (sink.lane_id.size() != lanes || !slots_ok || sink.slots == 0 ||
+      sink.limit == 0) {
+    throw std::invalid_argument(
+        "BatchSimulator::run_frames: the sink needs one id (and at most one "
+        "in-range slot) per lane, slots >= 1 and limit >= 1");
+  }
+  slot_list_.assign(sink.slots, nullptr);
+  return run_frames_to(stream, frame_cycles, keep, &sink, control);
+}
+
+std::uint64_t BatchSimulator::run_frames_to(
+    std::span<const std::uint8_t> stream, std::size_t frame_cycles,
+    std::size_t keep, const NeighborSink* sink,
+    const util::RunControl& control) {
   const BatchProgram& p = *program_;
   if (keep == 0 || frame_cycles == 0 || stream.size() % frame_cycles != 0) {
     throw std::invalid_argument(
@@ -1079,6 +1145,7 @@ std::vector<ReportEvent> BatchSimulator::run_frames(
   const std::uint64_t period =
       control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
   std::uint64_t since = 0;
+  std::uint64_t emitted = 0;
   for (std::size_t begin = 0; begin < stream.size(); begin += frame_cycles) {
     // Each dimension contributes the rows of the classes that accept its
     // data symbol. The rows of one dimension are disjoint, so summing them
@@ -1097,10 +1164,11 @@ std::vector<ReportEvent> BatchSimulator::run_frames(
     }
     kernels_.count_rows(frame_rows_.data(), n_rows, eff_words_,
                         counts_.data());
-    const std::size_t first = reports_.size();
-    cycles_skipped_ +=
-        emit_frame(std::min(p.dims_, n_rows), frame_cycles, keep);
-    reports_skipped_ += p.macro_count_ - (reports_.size() - first);
+    cycles_skipped_ += emit_frame(begin / frame_cycles,
+                                  std::min(p.dims_, n_rows), frame_cycles,
+                                  keep, sink);
+    emitted += ranked_.size();
+    reports_skipped_ += p.macro_count_ - ranked_.size();
     cycle_ += frame_cycles;
     since += frame_cycles;
     if (polled && since >= period) {
@@ -1109,7 +1177,7 @@ std::vector<ReportEvent> BatchSimulator::run_frames(
       util::FaultInjector::check(util::kFaultBatchFrame, control.fault_key);
     }
   }
-  return reports_;
+  return emitted;
 }
 
 }  // namespace apss::apsim

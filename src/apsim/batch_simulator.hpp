@@ -66,6 +66,7 @@
 #include "anml/network.hpp"
 #include "apsim/lane_word.hpp"
 #include "apsim/simulator.hpp"
+#include "knn/exact.hpp"
 
 namespace apss::apsim {
 
@@ -200,6 +201,10 @@ class BatchProgram {
   std::size_t match_classes() const noexcept { return class_count_; }
   /// Bit planes held per counter (bias + saturation headroom).
   std::size_t counter_planes() const noexcept { return planes_; }
+  /// Per lane: the report code its report state carries.
+  std::span<const std::uint32_t> report_codes() const noexcept {
+    return report_code_;
+  }
 
  private:
   friend class BatchSimulator;
@@ -238,14 +243,34 @@ class BatchProgram {
   /// dim-i matching state uses class c. Rows of one dimension partition the
   /// live lanes (every lane has exactly one class per dimension); the
   /// row_stride_ - words_ pad words of every row are zero.
-  std::vector<std::uint64_t> dim_rows_;
+  LaneWords dim_rows_;
   /// row_stride_ words: bit l = lane l is live (zero in the pad words).
-  std::vector<std::uint64_t> valid_;
+  LaneWords valid_;
   std::vector<anml::ElementId> report_elem_;  ///< per lane
   std::vector<std::uint32_t> report_code_;    ///< per lane
   std::uint32_t planes_ = 0;      ///< Q: bit planes per counter
   std::uint32_t cond_plane_ = 0;  ///< P: planes >= P <=> count >= threshold
   std::uint64_t bias_ = 0;        ///< 2^P - threshold, loaded on reset
+};
+
+/// Where the sink form of BatchSimulator::run_frames delivers each frame's
+/// reports: straight into per-query neighbour lists, with no ReportEvent
+/// built (docs/SIMULATOR_SEMANTICS.md, "Frame-bounded execution"). Frame f
+/// carries the queries f * slots .. f * slots + slots - 1. Lane l reports
+/// for the query in slot lane_slot[l] of its frame (slot 0 when lane_slot
+/// is empty) as neighbour lane_id[l], at distance dims - h for a lane that
+/// matched h dimensions.
+struct NeighborSink {
+  std::span<const std::uint32_t> lane_id;   ///< per lane
+  std::span<const std::uint8_t> lane_slot;  ///< per lane, or empty
+  std::size_t slots = 1;                    ///< queries per frame
+  /// Most neighbours per query: a list holds the first `limit` reports of
+  /// its query in report order, i.e. ascending (distance, lane).
+  std::size_t limit = 0;
+  /// One list per query, each overwritten by the frame that carries it.
+  /// Reports for queries past the end (the unused slots of a partial last
+  /// frame) are dropped.
+  std::span<std::vector<knn::Neighbor>> lists;
 };
 
 /// Executes a BatchProgram with the same streaming interface and the same
@@ -322,6 +347,22 @@ class BatchSimulator {
                                       std::size_t keep,
                                       const util::RunControl& control = {});
 
+  /// Sink form of run_frames: the same frames, checks, checkpoints and
+  /// skip counts, but each frame's reports go to `sink` as neighbours and
+  /// no ReportEvent is built. Per query, the list equals the first
+  /// sink.limit of that query's events in the event form's order. When
+  /// lane_id ascends with the lane within each slot (the engine's layouts),
+  /// that is (distance, id) order, and the list equals
+  /// core::TemporalSortDecoder's decode of the event form. Returns the
+  /// reports emitted (the event form's event count); reports() stays
+  /// empty. Throws std::invalid_argument as the event form does, or when
+  /// the sink's tables do not hold one entry per lane, a slot is out of
+  /// range, or slots or limit is 0.
+  std::uint64_t run_frames(std::span<const std::uint8_t> stream,
+                           std::size_t frame_cycles, std::size_t keep,
+                           const NeighborSink& sink,
+                           const util::RunControl& control = {});
+
   /// Host-side work the last run_frames() cut, per frame: the frame cycles
   /// after the cycle of its keep-th report, and the reports those cycles
   /// would have emitted (lanes minus the reports emitted). Zero after
@@ -341,12 +382,21 @@ class BatchSimulator {
   bool lane_simd() const noexcept { return kernels_.simd; }
 
  private:
-  /// Appends one closed-form frame's reports from counts_ (see
-  /// run_frames), whose counts are at most `max_count`. Returns the frame
-  /// cycles it skipped: the count of the keep-th report's cycle, or 0 when
-  /// keep > lanes.
-  std::size_t emit_frame(std::size_t max_count, std::size_t frame_cycles,
-                         std::size_t keep);
+  /// Both forms of run_frames: the event form when sink is null. Returns
+  /// the reports emitted.
+  std::uint64_t run_frames_to(std::span<const std::uint8_t> stream,
+                              std::size_t frame_cycles, std::size_t keep,
+                              const NeighborSink* sink,
+                              const util::RunControl& control);
+
+  /// Emits closed-form frame `frame`'s reports from counts_ (see
+  /// run_frames), whose counts are at most `max_count`: appended to
+  /// reports_, or written to `sink` when non-null. Leaves the emitted
+  /// (lane, count) pairs in ranked_. Returns the frame cycles it skipped:
+  /// the count of the keep-th report's cycle, or 0 when keep > lanes.
+  std::size_t emit_frame(std::size_t frame, std::size_t max_count,
+                         std::size_t frame_cycles, std::size_t keep,
+                         const NeighborSink* sink);
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
@@ -360,24 +410,26 @@ class BatchSimulator {
   std::uint64_t bridge_ = 0;  ///< bridge-chain outputs last cycle, bit k = slot k
   std::vector<std::uint64_t> chain_;  ///< backbone outputs, bit i = dim i
   /// Ring of the last L packed match words (the collector delay line).
-  std::vector<std::uint64_t> match_ring_;
+  LaneWords match_ring_;
   std::size_t ring_pos_ = 0;
-  std::vector<std::uint64_t> planes_;     ///< Q x words: bit-sliced counts
-  std::vector<std::uint64_t> cond_prev_;  ///< count condition last cycle
-  std::vector<std::uint64_t> pulse_;      ///< staged counter pulse
-  std::vector<std::uint64_t> counter_out_;  ///< counter outputs last cycle
-  std::vector<std::uint64_t> match_scratch_;
+  LaneWords planes_;       ///< Q x words: bit-sliced counts
+  LaneWords cond_prev_;    ///< count condition last cycle
+  LaneWords pulse_;        ///< staged counter pulse
+  LaneWords counter_out_;  ///< counter outputs last cycle
+  LaneWords match_scratch_;
   /// run_frames scratch: room for the matched lane-mask rows of one frame
   /// (at most every class of every dimension), and their per-lane count as
   /// bit planes (plane q at q * eff_words_).
   std::vector<const std::uint64_t*> frame_rows_;
-  std::vector<std::uint64_t> counts_;
-  /// emit_frame scratch: per-word lane masks of the cut selection, and the
-  /// emitted (lane, count) pairs with the counting sort's slot ends.
+  LaneWords counts_;
+  /// emit_frame scratch: per-word lane masks of the cut selection, the
+  /// emitted (lane, count) pairs with the counting sort's bucket ends, and
+  /// the sink's list per slot (null for a dropped slot).
   std::vector<std::uint64_t> tie_;
   std::vector<std::uint64_t> above_;
   std::vector<std::pair<std::size_t, std::size_t>> ranked_;
   std::vector<std::size_t> level_end_;
+  std::vector<std::vector<knn::Neighbor>*> slot_list_;
   std::vector<ReportEvent> reports_;
 };
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -14,6 +15,7 @@
 #include "core/temporal_decode.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fnv.hpp"
+#include "util/timer.hpp"
 
 namespace apss::core {
 namespace {
@@ -40,6 +42,41 @@ int severity(ShardState state) noexcept {
       return 4;
   }
   return 4;
+}
+
+/// Writes to `out` the first `want` neighbours of the union of `runs` in
+/// (distance, id) order, consuming the runs. Each run is sorted by
+/// (distance, id), and every id of runs[c] lies below every id of
+/// runs[c + 1] (configurations cover ascending id ranges), so within one
+/// distance the union is the runs' concatenation in order: the merge
+/// compares distances only.
+void merge_runs(std::span<std::span<const knn::Neighbor>> runs,
+                std::size_t want, std::vector<knn::Neighbor>& out) {
+  std::size_t total = 0;
+  for (const auto& run : runs) {
+    total += run.size();
+  }
+  out.clear();
+  out.reserve(std::min(want, total));
+  while (out.size() < want) {
+    bool any = false;
+    std::uint32_t d = 0;  // the nearest distance left in any run
+    for (const auto& run : runs) {
+      if (!run.empty() && (!any || run.front().distance < d)) {
+        d = run.front().distance;
+        any = true;
+      }
+    }
+    if (!any) {
+      break;
+    }
+    for (auto& run : runs) {
+      while (!run.empty() && run.front().distance == d && out.size() < want) {
+        out.push_back(run.front());
+        run = run.subspan(1);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -197,7 +234,7 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     }
     std::vector<MacroLayout> hamming_layouts;
     std::vector<PackedGroupLayout> packed_layouts;
-    build_network(p, &hamming_layouts, &packed_layouts);
+    p.network = build_network(p, &hamming_layouts, &packed_layouts);
     if (options_.backend == SimulationBackend::kBitParallel) {
       // build_network fills one of the two; a plain or multiplexed macro
       // compiles as a packed group of one lane.
@@ -274,11 +311,11 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   }
 }
 
-void ApKnnEngine::build_network(
+std::unique_ptr<anml::AutomataNetwork> ApKnnEngine::build_network(
     const Partition& p, std::vector<MacroLayout>* hamming_layouts,
     std::vector<PackedGroupLayout>* packed_layouts) const {
   const std::size_t config = p.begin / capacity_;
-  p.network =
+  auto net =
       std::make_unique<anml::AutomataNetwork>("config" + std::to_string(config));
   if (options_.packing_group_size > 0) {
     VectorPackingOptions pack_opt;
@@ -290,7 +327,7 @@ void ApKnnEngine::build_network(
       const std::size_t gcount =
           std::min(pack_opt.group_size, p.begin + p.count - gb);
       PackedGroupLayout layout =
-          append_packed_group(*p.network, dataset_, gb, gcount, pack_opt);
+          append_packed_group(*net, dataset_, gb, gcount, pack_opt);
       if (layout.collector_levels != spec_.collector_levels) {
         throw std::logic_error("ApKnnEngine: inconsistent collector depth");
       }
@@ -300,7 +337,7 @@ void ApKnnEngine::build_network(
     }
   } else if (options_.slices > 1) {
     std::vector<MacroLayout> layouts =
-        build_multiplexed_network(*p.network, dataset_, options_.slices,
+        build_multiplexed_network(*net, dataset_, options_.slices,
                                   options_.macro, p.begin, p.count);
     if (layouts.front().collector_levels != spec_.collector_levels) {
       throw std::logic_error("ApKnnEngine: inconsistent collector depth");
@@ -311,7 +348,7 @@ void ApKnnEngine::build_network(
   } else {
     for (std::size_t i = 0; i < p.count; ++i) {
       MacroLayout layout = append_hamming_macro(
-          *p.network, dataset_.vector(p.begin + i),
+          *net, dataset_.vector(p.begin + i),
           static_cast<std::uint32_t>(p.begin + i), options_.macro);
       if (layout.collector_levels != spec_.collector_levels) {
         throw std::logic_error("ApKnnEngine: inconsistent collector depth");
@@ -321,11 +358,12 @@ void ApKnnEngine::build_network(
       }
     }
   }
+  return net;
 }
 
 void ApKnnEngine::ensure_network(const Partition& p) const {
   if (p.network == nullptr) {
-    build_network(p, nullptr, nullptr);
+    p.network = build_network(p, nullptr, nullptr);
   }
 }
 
@@ -358,14 +396,20 @@ std::string ApKnnEngine::artifact_cache_file(std::size_t i) const {
 }
 
 artifact::ArtifactMeta ApKnnEngine::artifact_meta(const Partition& p) const {
-  ensure_network(p);
+  // A dropped network is rebuilt for the meta only and let go again.
+  std::unique_ptr<anml::AutomataNetwork> rebuilt;
+  const anml::AutomataNetwork* net = p.network.get();
+  if (net == nullptr) {
+    rebuilt = build_network(p, nullptr, nullptr);
+    net = rebuilt.get();
+  }
   artifact::ArtifactMeta meta;
   meta.key_hash = artifact_key(p.begin / capacity_);
-  meta.network_digest = anml::network_digest(*p.network);
+  meta.network_digest = anml::network_digest(*net);
   meta.builder = std::string(kEngineBuilder);
-  meta.network_name = p.network->name();
-  meta.network_elements = p.network->size();
-  meta.network_edges = p.network->edges().size();
+  meta.network_name = net->name();
+  meta.network_elements = net->size();
+  meta.network_edges = net->edges().size();
   meta.dataset_begin = p.begin;
   meta.dataset_count = p.count;
   return meta;
@@ -458,12 +502,16 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     std::size_t q_begin = 0;  ///< frame_begin * slices
     std::size_t q_count = 0;
     /// Shard-local ReportEvent buffer, rebased to the configuration's full
-    /// query-stream timeline after decoding.
+    /// query-stream timeline after decoding. Empty when the shard's
+    /// neighbours came from run_frames' sink.
     std::vector<apsim::ReportEvent> events;
+    /// Per query: the configuration's top-k, in (distance, id) order.
     std::vector<std::vector<knn::Neighbor>> partial;
+    std::uint64_t reports_emitted = 0;
     /// Host work the frame-bounded run cut (BatchSimulator::run_frames).
     std::uint64_t cycles_skipped = 0;
     std::uint64_t reports_skipped = 0;
+    double seconds = 0;  ///< wall time of the shard, every attempt
   };
   std::vector<Shard> shards;
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
@@ -480,6 +528,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
 
   // Encode the batch once: every configuration streams the same frames,
   // and each shard runs its frame range of them.
+  const util::Timer encode_timer;
   const std::size_t frame_cycles = spec_.cycles_per_query();
   std::vector<std::uint8_t> stream;
   stream.reserve(frames * frame_cycles);
@@ -494,6 +543,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       mux_encoder.append_group(queries, b, std::min(slices, q - b), stream);
     }
   }
+  stats_.phases.encode_s = encode_timer.seconds();
 
   // Bit-parallel shards stop each frame once its k-th report's cycle is
   // done: the temporal sort makes later reports irrelevant to the top-k.
@@ -534,10 +584,17 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     bool sim_is_batch = false;
     std::unique_ptr<apsim::Simulator> reference;
     std::unique_ptr<apsim::BatchSimulator> batch;
+    // The batch simulator's sink tables: a plain or packed lane reports its
+    // vector id as its code; a multiplexed code names (vector, slice).
+    std::vector<std::uint32_t> mux_id;
+    std::vector<std::uint8_t> mux_slot;
+    apsim::NeighborSink sink;
     // One attempt at simulating `shard`: checkpoint (deadline/cancel), fire
     // the shard-entry fault site, simulate, decode, rebase. Throws on any
     // failure; `force_reference` is the degrade path (cycle-accurate rerun
     // of a bit-parallel configuration — bit-identical events, just slower).
+    // Unless the caller keeps the stream, a bit-parallel shard writes its
+    // lists through run_frames' sink and builds no events.
     const auto run_attempt = [&](Shard& shard, const Partition& part,
                                  const util::RunControl& ctl,
                                  bool force_reference) {
@@ -550,6 +607,20 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         if (use_batch) {
           batch = std::make_unique<apsim::BatchSimulator>(part.program,
                                                           options_.lane_width);
+          const std::span<const std::uint32_t> codes =
+              part.program->report_codes();
+          sink = apsim::NeighborSink{codes, {}, slices, k, {}};
+          if (slices > 1) {
+            mux_id.resize(codes.size());
+            mux_slot.resize(codes.size());
+            for (std::size_t l = 0; l < codes.size(); ++l) {
+              mux_id[l] = MuxReportCode::vector_id(codes[l]);
+              mux_slot[l] =
+                  static_cast<std::uint8_t>(MuxReportCode::slice(codes[l]));
+            }
+            sink.lane_id = mux_id;
+            sink.lane_slot = mux_slot;
+          }
         } else if (part.program != nullptr) {
           // Degrade path: the network is absent until the first degrade
           // rebuilds it, and other workers may degrade shards of the same
@@ -568,6 +639,16 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       const std::span<const std::uint8_t> frames_in(
           stream.data() + shard.frame_begin * frame_cycles,
           shard.frames * frame_cycles);
+      if (batch != nullptr && !options_.collect_report_stream) {
+        shard.partial.resize(shard.q_count);
+        sink.lists = shard.partial;
+        shard.events.clear();
+        shard.reports_emitted =
+            batch->run_frames(frames_in, frame_cycles, keep, sink, ctl);
+        shard.cycles_skipped = batch->cycles_skipped();
+        shard.reports_skipped = batch->reports_skipped();
+        return;
+      }
       if (batch != nullptr) {
         shard.events = batch->run_frames(frames_in, frame_cycles, keep, ctl);
         shard.cycles_skipped = batch->cycles_skipped();
@@ -577,12 +658,14 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         shard.cycles_skipped = 0;
         shard.reports_skipped = 0;
       }
+      shard.reports_emitted = shard.events.size();
       const TemporalSortDecoder decoder(spec_, shard.q_count, slices);
       shard.partial = decoder.decode(shard.events, k);
       apsim::rebase_events(shard.events, shard.frame_begin * frame_cycles);
     };
     for (std::size_t t = lo; t < hi; ++t) {
       Shard& shard = shards[t];
+      const util::Timer shard_timer;
       const Partition& part = partitions_[shard.config];
       util::RunControl ctl;
       ctl.deadline = control.deadline;
@@ -594,6 +677,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         // here, so the first failure unwinds through the pool's
         // first-exception rethrow to the caller.
         run_attempt(shard, part, ctl, /*force_reference=*/false);
+        shard.seconds = shard_timer.seconds();
         continue;
       }
       ShardOutcome& out = outcomes[t];
@@ -644,6 +728,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
           break;
         }
       }
+      shard.seconds = shard_timer.seconds();
     }
   };
 
@@ -658,6 +743,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   // configuration SURVIVES when every shard is kOk or kDegraded —
   // anything else poisons it: partial per-query lists would silently rank
   // neighbors against an incomplete candidate set.
+  const util::Timer merge_timer;
   stats_.shard_status.assign(partitions_.size(), ShardStatus{});
   for (std::size_t t = 0; t < shards.size(); ++t) {
     ShardStatus& status = stats_.shard_status[shards[t].config];
@@ -681,33 +767,49 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   // accumulation, the merged report stream, and the per-query lists are
   // bit-identical at any thread count. Non-surviving configurations are
   // skipped wholesale, so what remains equals a run without them.
-  std::vector<std::vector<knn::Neighbor>> results(q);
-  for (Shard& shard : shards) {
+  for (const Shard& shard : shards) {
+    stats_.phases.simulate_s += shard.seconds;
     if (!survives(shard.config)) {
       continue;
     }
-    stats_.report_events += shard.events.size() + shard.reports_skipped;
+    stats_.report_events += shard.reports_emitted + shard.reports_skipped;
     stats_.host_cycles_skipped += shard.cycles_skipped;
     if (options_.collect_report_stream) {
       report_stream_.insert(report_stream_.end(), shard.events.begin(),
                             shard.events.end());
-    }
-    for (std::size_t i = 0; i < shard.q_count; ++i) {
-      auto& dst = results[shard.q_begin + i];
-      dst.insert(dst.end(), shard.partial[i].begin(), shard.partial[i].end());
     }
   }
   const std::size_t surviving = stats_.surviving_configurations();
   if (surviving != partitions_.size()) {
     stats_.simulated_cycles = frames * stats_.cycles_per_query * surviving;
   }
+  // Every query's per-configuration lists are sorted runs over ascending
+  // id ranges, so the top-k is their merge, cut at want. A lone run holds
+  // at most min(k, its configuration's vectors) <= want neighbours: it is
+  // the answer as it stands.
   const std::size_t want = std::min(k, dataset_.size());
-  for (auto& list : results) {
-    std::sort(list.begin(), list.end());
-    if (list.size() > want) {
-      list.resize(want);
+  const std::size_t shards_per_config = (frames + chunk - 1) / chunk;
+  std::vector<std::vector<knn::Neighbor>> results(q);
+  std::vector<std::span<const knn::Neighbor>> runs;
+  for (std::size_t b = 0; b < q; ++b) {
+    const std::size_t shard_in_config = b / slices / chunk;
+    runs.clear();
+    std::vector<knn::Neighbor>* lone = nullptr;
+    for (std::size_t c = 0; c < partitions_.size(); ++c) {
+      if (!survives(c)) {
+        continue;
+      }
+      Shard& shard = shards[c * shards_per_config + shard_in_config];
+      lone = &shard.partial[b - shard.q_begin];
+      runs.emplace_back(*lone);
+    }
+    if (runs.size() == 1) {
+      results[b] = std::move(*lone);
+    } else {
+      merge_runs(runs, want, results[b]);
     }
   }
+  stats_.phases.merge_s = merge_timer.seconds();
   return results;
 }
 

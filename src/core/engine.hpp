@@ -203,6 +203,19 @@ struct EngineOptions {
   std::size_t max_retries = 2;
 };
 
+/// Host wall time of the last search(), by phase (seconds; zero from
+/// project()). Measured on the host, never part of the device model.
+struct PhaseTimes {
+  double encode_s = 0;  ///< the query batch into one symbol stream
+  /// Per-shard wall time (simulation plus the neighbour emission or the
+  /// event decode, every attempt), summed over the shards in shard order:
+  /// the work's single-thread cost, whatever the thread count.
+  double simulate_s = 0;
+  /// Outcome reduction, stats and the per-query merge of the
+  /// configurations' lists.
+  double merge_s = 0;
+};
+
 /// Cycle/report accounting for the device-time model (Sec. V).
 struct EngineStats {
   std::size_t configurations = 0;
@@ -232,8 +245,15 @@ struct EngineStats {
   /// simulated_cycles and report_events then count the SURVIVING
   /// configurations only.
   std::vector<ShardStatus> shard_status;
+  /// Where the last search()'s host time went.
+  PhaseTimes phases;
 
-  bool operator==(const EngineStats&) const = default;
+  /// Equal when two runs computed the same: every field but the wall-clock
+  /// phases, so stats stay comparable across thread counts and runs.
+  bool operator==(const EngineStats& o) const {
+    return same_work(o) && host_cycles_skipped == o.host_cycles_skipped &&
+           backend == o.backend && shard_status == o.shard_status;
+  }
 
   /// Configurations whose results are in the returned neighbor lists
   /// (kOk + kDegraded).
@@ -342,7 +362,13 @@ class ApKnnEngine {
   /// artifact cache skip network construction, and a configuration the
   /// bit-parallel backend compiled drops its network once the program
   /// exists (only the cycle-accurate path simulates it); either way the
-  /// network is rebuilt lazily — and deterministically — on first access.
+  /// network is rebuilt lazily — and deterministically — on first access,
+  /// and then kept, since the caller holds a reference. search()'s degrade
+  /// path (a cycle-accurate rerun of a failed bit-parallel shard) rebuilds
+  /// it the same way and keeps it too: a failing configuration tends to
+  /// degrade in several shards and calls, and each rebuild costs about as
+  /// much as a compile. save_artifact() builds a dropped network only for
+  /// its metadata and frees it again.
   /// Not safe to call concurrently with itself or placement() for the
   /// same `i`.
   const anml::AutomataNetwork& network(std::size_t i) const;
@@ -394,10 +420,11 @@ class ApKnnEngine {
 
   /// Builds `p`'s configuration network (and the per-macro layouts when the
   /// out-params are non-null) from the dataset slice [p.begin, p.begin +
-  /// p.count) — shared by the construction path and the lazy rebuild.
-  void build_network(const Partition& p,
-                     std::vector<MacroLayout>* hamming_layouts,
-                     std::vector<PackedGroupLayout>* packed_layouts) const;
+  /// p.count) — shared by the construction path, the lazy rebuild and the
+  /// artifact meta.
+  std::unique_ptr<anml::AutomataNetwork> build_network(
+      const Partition& p, std::vector<MacroLayout>* hamming_layouts,
+      std::vector<PackedGroupLayout>* packed_layouts) const;
   void ensure_network(const Partition& p) const;
   artifact::ArtifactMeta artifact_meta(const Partition& p) const;
 
