@@ -18,9 +18,9 @@
 //       plus the placement report — the whole paper pipeline in one shot.
 //       --backend=bit runs the search on the bit-parallel batch simulator
 //       (docs/SIMULATOR_SEMANTICS.md) instead of the cycle-accurate one,
-//       and prints the per-configuration compile outcome (per macro
-//       family) plus every fallback reason, so cycle-accurate fallbacks
-//       are visible. --lane-width picks the batch backend's execution
+//       and prints the per-configuration compile outcome (how many were
+//       lowered straight from the dataset bits, per macro family) plus
+//       every fallback reason, so cycle-accurate fallbacks are visible. --lane-width picks the batch backend's execution
 //       width (auto = widest this CPU supports; explicit widths fall back
 //       to a portable implementation when the SIMD variant is missing) —
 //       results are bit-identical at every width.
@@ -191,10 +191,10 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
               placement.routed ? "fully" : "PARTIALLY");
   if (flags.engine.backend == core::SimulationBackend::kBitParallel) {
     const core::BackendCompileStats& bs = engine.backend_stats();
-    std::printf("backend: bit-parallel (%zu/%zu configurations compiled: "
-                "%zu hamming, %zu packed, %zu multiplexed)\n",
-                bs.bit_parallel, bs.configurations, bs.hamming, bs.packed,
-                bs.multiplexed);
+    std::printf("backend: bit-parallel (%zu/%zu configurations compiled, "
+                "%zu lowered: %zu hamming, %zu packed, %zu multiplexed)\n",
+                bs.bit_parallel, bs.configurations, bs.lowered, bs.hamming,
+                bs.packed, bs.multiplexed);
     std::printf("lane width: %zu bits (%s)\n", bs.lane_width_bits,
                 bs.lane_isa.c_str());
     for (const auto& [why, count] : bs.fallback_reasons) {

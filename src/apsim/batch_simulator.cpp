@@ -224,6 +224,17 @@ std::uint64_t transpose8x8(std::uint64_t x) {
 // report). A plain or multiplexed macro is a group of one lane.
 // ---------------------------------------------------------------------------
 
+bool BatchProgram::supports(const SimOptions& options, std::string* reason) {
+  if (options.max_counter_increment != 1) {
+    if (reason != nullptr) {
+      *reason = "bit-parallel backend requires max_counter_increment == 1 "
+                "(enables must OR together)";
+    }
+    return false;
+  }
+  return true;
+}
+
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const anml::AutomataNetwork& network,
     std::span<const PackedGroupSlots> groups, SimOptions options,
@@ -235,9 +246,8 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     return std::shared_ptr<const BatchProgram>{};
   };
 
-  if (options.max_counter_increment != 1) {
-    return fail("bit-parallel backend requires max_counter_increment == 1 "
-                "(enables must OR together)");
+  if (!supports(options, reason)) {
+    return nullptr;
   }
   if (groups.empty()) {
     return fail("no macro groups");

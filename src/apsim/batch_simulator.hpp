@@ -157,6 +157,14 @@ struct PackedGroupSlots {
 /// its own BatchSimulator.
 class BatchProgram {
  public:
+  /// Whether the device features in `options` are ones this backend
+  /// executes exactly (today: max_counter_increment == 1, so simultaneous
+  /// count enables OR together). try_compile declines anything else with
+  /// the reason this fills in; core::ApKnnEngine asks first, and builds
+  /// the network for the cycle-accurate path when the answer is no.
+  static bool supports(const SimOptions& options,
+                       std::string* reason = nullptr);
+
   /// Verifies that (network, groups) is a supported homogeneous macro
   /// configuration under `options` and compiles it: every group must share
   /// the guard/backbone/bridge/sort/EOF structure, every lane's collector

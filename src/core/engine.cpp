@@ -10,7 +10,8 @@
 #include <system_error>
 
 #include "anml/anml_io.hpp"
-#include "core/batch_compile.hpp"
+#include "apsim/batch_simulator.hpp"
+#include "core/lowering.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/temporal_decode.hpp"
 #include "util/fault_injection.hpp"
@@ -24,6 +25,16 @@ namespace {
 /// Layouts (plain, packed, multiplexed) share it; the key hashes the layout
 /// options, so their artifacts can never satisfy each other.
 constexpr std::string_view kEngineBuilder = "apss-knn-engine";
+
+/// The configuration layout `options` selects.
+ConfigurationLayout layout_of(const EngineOptions& options) {
+  ConfigurationLayout layout;
+  layout.macro = options.macro;
+  layout.packing_group_size = options.packing_group_size;
+  layout.packing_style = options.packing_style;
+  layout.slices = options.slices;
+  return layout;
+}
 
 /// Worst-wins ordering for reducing shard outcomes to one per-configuration
 /// state: a hard failure outranks cancellation outranks timeout outranks
@@ -181,20 +192,18 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     capacity_ = std::min(capacity_, options_.max_vectors_per_config);
   }
 
-  // Compile one automata network per board configuration. When the
-  // bit-parallel backend is requested, each configuration is additionally
-  // compiled into a packed BatchProgram; failures leave `program` null and
-  // that configuration runs on the cycle-accurate simulator. With an
-  // artifact cache directory, each configuration first tries to LOAD its
-  // program — a hit skips both the network construction and the
-  // verification compile. A compiled configuration then drops its network,
-  // so both hold the program only (network(i) rebuilds lazily if
-  // inspected; only cycle-accurate configurations keep theirs).
-  // Partitions are independent, so configuration shards compile on the
-  // worker pool; each shard records its own decline reason and cache
-  // outcome and the reduce below walks shards in configuration order, so
-  // the aggregated stats are identical at any thread count (no shared
-  // counter mutation).
+  // One program or network per board configuration: key -> cache probe ->
+  // lower -> from_state -> store. With the bit-parallel backend, each
+  // configuration first tries to LOAD its program from the artifact cache;
+  // otherwise its BatchProgram is lowered straight from the dataset bits
+  // (core::lower_configuration), with no automata network, and stored in
+  // the cache. Only the cycle-accurate backend, and device features the
+  // bit-parallel backend declines (recorded as the fallback reason), build
+  // the network; network(i) builds it lazily for the others. Partitions
+  // are independent, so configuration shards run on the worker pool; each
+  // shard records its own decline reason and cache outcome and the reduce
+  // below walks shards in configuration order, so the aggregated stats are
+  // identical at any thread count (no shared counter mutation).
   const bool cache_enabled =
       options_.backend == SimulationBackend::kBitParallel &&
       !options_.artifact_cache_dir.empty();
@@ -216,6 +225,8 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   partitions_.resize((dataset_.size() + capacity_ - 1) / capacity_);
   std::vector<std::string> decline_reasons(partitions_.size());
   std::vector<ArtifactCacheStats> cache_stats(partitions_.size());
+  std::vector<std::uint8_t> lowered(partitions_.size(), 0);
+  const ConfigurationLayout layout = layout_of(options_);
   const auto build_partition = [&](std::size_t c) {
     Partition& p = partitions_[c];
     p.begin = c * capacity_;
@@ -232,33 +243,28 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
         return;
       }
     }
-    std::vector<MacroLayout> hamming_layouts;
-    std::vector<PackedGroupLayout> packed_layouts;
-    p.network = build_network(p, &hamming_layouts, &packed_layouts);
-    if (options_.backend == SimulationBackend::kBitParallel) {
-      // build_network fills one of the two; a plain or multiplexed macro
-      // compiles as a packed group of one lane.
-      std::vector<apsim::PackedGroupSlots> slots;
-      slots.reserve(hamming_layouts.size() + packed_layouts.size());
-      for (const MacroLayout& layout : hamming_layouts) {
-        slots.push_back(packed_batch_slots(layout));
-      }
-      for (const PackedGroupLayout& layout : packed_layouts) {
-        slots.push_back(packed_batch_slots(layout));
-      }
-      p.program = apsim::BatchProgram::try_compile(
-          *p.network, slots, sim_options, &decline_reasons[c]);
-      if (cache_enabled && p.program != nullptr) {
-        // Best-effort: an unwritable cache degrades to compile-every-time,
-        // it never fails construction.
-        std::size_t store_retries = 0;
-        store_program(artifact_cache_file(c), artifact_meta(p), p.program,
-                      nullptr, &store_retries);
-        cache_stats[c].io_retries += store_retries;
-      }
-      if (p.program != nullptr) {
-        p.network.reset();
-      }
+    if (options_.backend != SimulationBackend::kBitParallel ||
+        !apsim::BatchProgram::supports(sim_options, &decline_reasons[c])) {
+      p.network = build_network(p);
+      return;
+    }
+    // Lowering is exact, so a state from_state rejects is a lowering bug:
+    // surfaced, never hidden behind a fallback.
+    std::string error;
+    p.program = apsim::BatchProgram::from_state(
+        lower_configuration(dataset_, {p.begin, p.count}, layout), &error);
+    if (p.program == nullptr) {
+      throw std::logic_error("ApKnnEngine: lowered configuration " +
+                             std::to_string(c) + " rejected: " + error);
+    }
+    lowered[c] = 1;
+    if (cache_enabled) {
+      // Best-effort: an unwritable cache degrades to lower-every-time, it
+      // never fails construction.
+      std::size_t store_retries = 0;
+      store_program(artifact_cache_file(c), cache_meta(p), p.program, nullptr,
+                    &store_retries);
+      cache_stats[c].io_retries += store_retries;
     }
   };
   if (pool_ != nullptr) {
@@ -279,6 +285,7 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     compile_stats_.artifact.merge(cache_stats[c]);
     if (p.program != nullptr) {
       ++compile_stats_.bit_parallel;
+      compile_stats_.lowered += lowered[c];
       switch (p.program->family()) {
         case apsim::MacroFamily::kHamming: ++compile_stats_.hamming; break;
         case apsim::MacroFamily::kPacked: ++compile_stats_.packed; break;
@@ -312,58 +319,15 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
 }
 
 std::unique_ptr<anml::AutomataNetwork> ApKnnEngine::build_network(
-    const Partition& p, std::vector<MacroLayout>* hamming_layouts,
-    std::vector<PackedGroupLayout>* packed_layouts) const {
-  const std::size_t config = p.begin / capacity_;
-  auto net =
-      std::make_unique<anml::AutomataNetwork>("config" + std::to_string(config));
-  if (options_.packing_group_size > 0) {
-    VectorPackingOptions pack_opt;
-    pack_opt.group_size = options_.packing_group_size;
-    pack_opt.style = options_.packing_style;
-    pack_opt.macro = options_.macro;
-    for (std::size_t gb = p.begin; gb < p.begin + p.count;
-         gb += pack_opt.group_size) {
-      const std::size_t gcount =
-          std::min(pack_opt.group_size, p.begin + p.count - gb);
-      PackedGroupLayout layout =
-          append_packed_group(*net, dataset_, gb, gcount, pack_opt);
-      if (layout.collector_levels != spec_.collector_levels) {
-        throw std::logic_error("ApKnnEngine: inconsistent collector depth");
-      }
-      if (packed_layouts != nullptr) {
-        packed_layouts->push_back(std::move(layout));
-      }
-    }
-  } else if (options_.slices > 1) {
-    std::vector<MacroLayout> layouts =
-        build_multiplexed_network(*net, dataset_, options_.slices,
-                                  options_.macro, p.begin, p.count);
-    if (layouts.front().collector_levels != spec_.collector_levels) {
-      throw std::logic_error("ApKnnEngine: inconsistent collector depth");
-    }
-    if (hamming_layouts != nullptr) {
-      *hamming_layouts = std::move(layouts);
-    }
-  } else {
-    for (std::size_t i = 0; i < p.count; ++i) {
-      MacroLayout layout = append_hamming_macro(
-          *net, dataset_.vector(p.begin + i),
-          static_cast<std::uint32_t>(p.begin + i), options_.macro);
-      if (layout.collector_levels != spec_.collector_levels) {
-        throw std::logic_error("ApKnnEngine: inconsistent collector depth");
-      }
-      if (hamming_layouts != nullptr) {
-        hamming_layouts->push_back(std::move(layout));
-      }
-    }
-  }
-  return net;
+    const Partition& p) const {
+  return build_configuration(dataset_, {p.begin, p.count}, layout_of(options_),
+                             "config" + std::to_string(p.begin / capacity_))
+      .network;
 }
 
 void ApKnnEngine::ensure_network(const Partition& p) const {
   if (p.network == nullptr) {
-    p.network = build_network(p, nullptr, nullptr);
+    p.network = build_network(p);
   }
 }
 
@@ -395,21 +359,10 @@ std::string ApKnnEngine::artifact_cache_file(std::size_t i) const {
   return artifact_cache_path(options_.artifact_cache_dir, kEngineBuilder, i);
 }
 
-artifact::ArtifactMeta ApKnnEngine::artifact_meta(const Partition& p) const {
-  // A dropped network is rebuilt for the meta only and let go again.
-  std::unique_ptr<anml::AutomataNetwork> rebuilt;
-  const anml::AutomataNetwork* net = p.network.get();
-  if (net == nullptr) {
-    rebuilt = build_network(p, nullptr, nullptr);
-    net = rebuilt.get();
-  }
+artifact::ArtifactMeta ApKnnEngine::cache_meta(const Partition& p) const {
   artifact::ArtifactMeta meta;
   meta.key_hash = artifact_key(p.begin / capacity_);
-  meta.network_digest = anml::network_digest(*net);
   meta.builder = std::string(kEngineBuilder);
-  meta.network_name = net->name();
-  meta.network_elements = net->size();
-  meta.network_edges = net->edges().size();
   meta.dataset_begin = p.begin;
   meta.dataset_count = p.count;
   return meta;
@@ -426,7 +379,19 @@ bool ApKnnEngine::save_artifact(std::size_t i, const std::string& path,
     }
     return false;
   }
-  return store_program(path, artifact_meta(p), p.program, error);
+  // An absent network is built for the meta only and let go again.
+  std::unique_ptr<anml::AutomataNetwork> built;
+  const anml::AutomataNetwork* net = p.network.get();
+  if (net == nullptr) {
+    built = build_network(p);
+    net = built.get();
+  }
+  artifact::ArtifactMeta meta = cache_meta(p);
+  meta.network_digest = anml::network_digest(*net);
+  meta.network_name = net->name();
+  meta.network_elements = net->size();
+  meta.network_edges = net->edges().size();
+  return store_program(path, meta, p.program, error);
 }
 
 std::size_t ApKnnEngine::bit_parallel_configurations() const noexcept {
@@ -479,6 +444,18 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   const std::size_t frames = frames_for(q);
   stats_ = project(q);
   report_stream_.clear();
+  // The caller's lists. With several configurations each is a merge of
+  // up to `want` neighbours; reserving them before the shards fill lists_
+  // lets them reuse the memory the caller freed after the previous call
+  // rather than fresh heap pages that the allocator trims and pages in
+  // again on every call.
+  const std::size_t want = std::min(k, dataset_.size());
+  std::vector<std::vector<knn::Neighbor>> results(q);
+  if (partitions_.size() > 1) {
+    for (std::vector<knn::Neighbor>& list : results) {
+      list.reserve(want);
+    }
+  }
 
   // One shard per (configuration, query-frame range); a frame carries
   // `slices` queries. queries_per_chunk caps the frames per shard; with a
@@ -505,8 +482,9 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     /// query-stream timeline after decoding. Empty when the shard's
     /// neighbours came from run_frames' sink.
     std::vector<apsim::ReportEvent> events;
-    /// Per query: the configuration's top-k, in (distance, id) order.
-    std::vector<std::vector<knn::Neighbor>> partial;
+    /// Per query: the configuration's top-k, in (distance, id) order (the
+    /// shard's range of lists_).
+    std::span<std::vector<knn::Neighbor>> partial;
     std::uint64_t reports_emitted = 0;
     /// Host work the frame-bounded run cut (BatchSimulator::run_frames).
     std::uint64_t cycles_skipped = 0;
@@ -514,6 +492,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     double seconds = 0;  ///< wall time of the shard, every attempt
   };
   std::vector<Shard> shards;
+  lists_.resize(partitions_.size() * q);
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
     for (std::size_t f = 0; f < frames; f += chunk) {
       Shard& shard = shards.emplace_back();
@@ -523,6 +502,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       shard.q_begin = f * slices;
       shard.q_count =
           std::min(q, (f + shard.frames) * slices) - shard.q_begin;
+      shard.partial = std::span(lists_).subspan(c * q + shard.q_begin,
+                                                shard.q_count);
     }
   }
 
@@ -568,8 +549,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   };
   std::vector<ShardOutcome> outcomes(shards.size());
   // Degrading a shard of a bit-parallel configuration needs the automata
-  // network, which was dropped after compile (or never built on a cache
-  // hit); the lazy rebuild mutates the partition, so it is serialized
+  // network, which construction never built (the program was lowered or
+  // loaded); the lazy build mutates the partition, so it is serialized
   // (plain runs never take this lock).
   std::mutex degrade_mutex;
 
@@ -623,7 +604,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
           }
         } else if (part.program != nullptr) {
           // Degrade path: the network is absent until the first degrade
-          // rebuilds it, and other workers may degrade shards of the same
+          // builds it, and other workers may degrade shards of the same
           // configuration concurrently.
           std::lock_guard<std::mutex> lock(degrade_mutex);
           ensure_network(part);
@@ -640,7 +621,6 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
           stream.data() + shard.frame_begin * frame_cycles,
           shard.frames * frame_cycles);
       if (batch != nullptr && !options_.collect_report_stream) {
-        shard.partial.resize(shard.q_count);
         sink.lists = shard.partial;
         shard.events.clear();
         shard.reports_emitted =
@@ -660,7 +640,8 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       }
       shard.reports_emitted = shard.events.size();
       const TemporalSortDecoder decoder(spec_, shard.q_count, slices);
-      shard.partial = decoder.decode(shard.events, k);
+      std::ranges::move(decoder.decode(shard.events, k),
+                        shard.partial.begin());
       apsim::rebase_events(shard.events, shard.frame_begin * frame_cycles);
     };
     for (std::size_t t = lo; t < hi; ++t) {
@@ -787,9 +768,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   // id ranges, so the top-k is their merge, cut at want. A lone run holds
   // at most min(k, its configuration's vectors) <= want neighbours: it is
   // the answer as it stands.
-  const std::size_t want = std::min(k, dataset_.size());
   const std::size_t shards_per_config = (frames + chunk - 1) / chunk;
-  std::vector<std::vector<knn::Neighbor>> results(q);
   std::vector<std::span<const knn::Neighbor>> runs;
   for (std::size_t b = 0; b < q; ++b) {
     const std::size_t shard_in_config = b / slices / chunk;

@@ -100,12 +100,16 @@ struct ShardStatus {
 
 /// Per-configuration compile outcome of the bit-parallel backend: which
 /// simulator runs each configuration, by macro family, and why anything
-/// fell back — so cycle-accurate fallbacks are visible (ISSUE 5), not
+/// fell back — so cycle-accurate fallbacks are visible, not
 /// silent. Filled at engine construction; reported via EngineStats and
 /// printed by `apss_cli knn --backend=bit`.
 struct BackendCompileStats {
   std::size_t configurations = 0;  ///< total configurations built
   std::size_t bit_parallel = 0;    ///< compiled for apsim::BatchSimulator
+  /// Of those, built by core::lower_configuration straight from the
+  /// dataset bits, with no automata network; the rest came from the
+  /// artifact cache.
+  std::size_t lowered = 0;
   std::size_t fallback = 0;        ///< declined -> cycle-accurate path
   std::size_t hamming = 0;         ///< fast-path configs per macro family
   std::size_t packed = 0;
@@ -191,9 +195,9 @@ struct EngineOptions {
   CollectorStyle packing_style = CollectorStyle::kTree;
   /// Ahead-of-time compile cache directory (created if absent). With the
   /// kBitParallel backend, each configuration first tries to LOAD its
-  /// compiled program from a slot file here (skipping network construction
-  /// and verification entirely); on a miss or invalidation it compiles
-  /// fresh and saves the artifact. Outcomes are counted in
+  /// compiled program from a slot file here; on a miss or invalidation it
+  /// lowers the program fresh (core::lower_configuration) and saves the
+  /// artifact. Outcomes are counted in
   /// EngineStats::backend.artifact. Empty (default) disables the cache; the
   /// kCycleAccurate backend ignores it (nothing is compiled).
   std::string artifact_cache_dir;
@@ -314,7 +318,12 @@ struct SearchControl {
 
 class ApKnnEngine {
  public:
-  /// Compiles `dataset` into board configurations. The dataset is copied.
+  /// Compiles `dataset` into board configurations: with the kBitParallel
+  /// backend, each configuration's program is loaded from the artifact
+  /// cache or lowered from the dataset bits (core::lower_configuration);
+  /// otherwise, or when the device features are ones the bit-parallel
+  /// backend declines, its automata network is built. The dataset is
+  /// copied.
   ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options = {});
 
   /// Exact kNN via simulated AP execution. Returns ascending-distance
@@ -358,16 +367,16 @@ class ApKnnEngine {
   }
 
   /// The compiled automata network of configuration `i` (for inspection,
-  /// ANML export, and resource benches). Configurations satisfied from the
-  /// artifact cache skip network construction, and a configuration the
-  /// bit-parallel backend compiled drops its network once the program
-  /// exists (only the cycle-accurate path simulates it); either way the
-  /// network is rebuilt lazily — and deterministically — on first access,
-  /// and then kept, since the caller holds a reference. search()'s degrade
-  /// path (a cycle-accurate rerun of a failed bit-parallel shard) rebuilds
+  /// ANML export, and resource benches). A configuration on the
+  /// bit-parallel backend never builds one at construction — its program
+  /// is lowered from the dataset bits or loaded from the artifact cache
+  /// (only the cycle-accurate path simulates a network) — so the network
+  /// is built lazily, and deterministically, on first access, and then
+  /// kept, since the caller holds a reference. search()'s degrade
+  /// path (a cycle-accurate rerun of a failed bit-parallel shard) builds
   /// it the same way and keeps it too: a failing configuration tends to
-  /// degrade in several shards and calls, and each rebuild costs about as
-  /// much as a compile. save_artifact() builds a dropped network only for
+  /// degrade in several shards and calls, and each build costs far more
+  /// than the lowering. save_artifact() builds an absent network only for
   /// its metadata and frees it again.
   /// Not safe to call concurrently with itself or placement() for the
   /// same `i`.
@@ -390,8 +399,10 @@ class ApKnnEngine {
   /// EngineOptions::artifact_cache_dir is unset.
   std::string artifact_cache_file(std::size_t i) const;
 
-  /// Writes configuration `i`'s compiled program (plus provenance metadata)
-  /// to `path` as an artifact. Fails — with a message in *error — when the
+  /// Writes configuration `i`'s compiled program (plus provenance metadata,
+  /// including the network digest, name and sizes: the one place the
+  /// bit-parallel backend builds a network for the meta) to `path` as an
+  /// artifact. Fails — with a message in *error — when the
   /// configuration has no bit-parallel program.
   bool save_artifact(std::size_t i, const std::string& path,
                      std::string* error = nullptr) const;
@@ -408,25 +419,24 @@ class ApKnnEngine {
   struct Partition {
     std::size_t begin = 0;  ///< first global vector id
     std::size_t count = 0;
-    /// Null whenever `program` is set (an artifact-cache hit never builds
-    /// it; a fresh compile drops it) until network()/placement() rebuild
-    /// it lazily (mutable: rebuilding does not change observable state —
-    /// construction is deterministic, so the rebuilt network is the one the
-    /// compile path would have produced).
+    /// Null whenever `program` is set (lowering and artifact-cache hits
+    /// never build it) until network()/placement() build it lazily
+    /// (mutable: building does not change observable state — construction
+    /// is deterministic, and the network compiles to `program`).
     mutable std::unique_ptr<anml::AutomataNetwork> network;
     /// Compiled bit-parallel program; null = use the cycle-accurate path.
     std::shared_ptr<const apsim::BatchProgram> program;
   };
 
-  /// Builds `p`'s configuration network (and the per-macro layouts when the
-  /// out-params are non-null) from the dataset slice [p.begin, p.begin +
-  /// p.count) — shared by the construction path, the lazy rebuild and the
-  /// artifact meta.
+  /// Builds `p`'s configuration network from the dataset slice [p.begin,
+  /// p.begin + p.count) — shared by the cycle-accurate construction path,
+  /// the lazy build and save_artifact's meta.
   std::unique_ptr<anml::AutomataNetwork> build_network(
-      const Partition& p, std::vector<MacroLayout>* hamming_layouts,
-      std::vector<PackedGroupLayout>* packed_layouts) const;
+      const Partition& p) const;
   void ensure_network(const Partition& p) const;
-  artifact::ArtifactMeta artifact_meta(const Partition& p) const;
+  /// Meta of `p`'s cache slot file: key hash, builder and dataset range;
+  /// the network fields stay empty (no network is built for them).
+  artifact::ArtifactMeta cache_meta(const Partition& p) const;
 
   knn::BinaryDataset dataset_;
   EngineOptions options_;
@@ -440,6 +450,12 @@ class ApKnnEngine {
   util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   std::vector<apsim::ReportEvent> report_stream_;
+  /// search()'s per-(configuration, query) neighbour lists,
+  /// configuration-major. Kept between calls so each search reuses their
+  /// capacity: at k = 1000 over 4 configurations they hold ~8 MB, which
+  /// fresh lists would page in again on every call (the allocator trims
+  /// freed memory at the top of the heap).
+  std::vector<std::vector<knn::Neighbor>> lists_;
 };
 
 }  // namespace apss::core

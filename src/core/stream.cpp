@@ -1,5 +1,6 @@
 #include "core/stream.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace apss::core {
@@ -7,16 +8,19 @@ namespace apss::core {
 void SymbolStreamEncoder::append_query(std::span<const std::uint64_t> query_words,
                                        std::vector<std::uint8_t>& out) const {
   const std::size_t d = spec_.dims;
-  out.reserve(out.size() + spec_.cycles_per_query());
-  out.push_back(Alphabet::kSof);
-  for (std::size_t i = 0; i < d; ++i) {
-    const bool bit = (query_words[i >> 6] >> (i & 63)) & 1u;
-    out.push_back(Alphabet::data_bit(bit));
+  const std::size_t at = out.size();
+  out.resize(at + spec_.cycles_per_query());
+  std::uint8_t* p = out.data() + at;
+  *p++ = Alphabet::kSof;
+  for (std::size_t w = 0; w * 64 < d; ++w) {
+    std::uint64_t bits = query_words[w];
+    const std::size_t n = std::min<std::size_t>(64, d - w * 64);
+    for (std::size_t j = 0; j < n; ++j, bits >>= 1) {
+      *p++ = Alphabet::data_bit(bits & 1u);
+    }
   }
-  for (std::size_t i = 0; i < spec_.fill_symbols(); ++i) {
-    out.push_back(Alphabet::kFill);
-  }
-  out.push_back(Alphabet::kEof);
+  p = std::fill_n(p, spec_.fill_symbols(), Alphabet::kFill);
+  *p = Alphabet::kEof;
 }
 
 std::vector<std::uint8_t> SymbolStreamEncoder::encode_query(

@@ -207,8 +207,8 @@ TEST(ArtifactRoundTrip, EngineCacheIsInvisibleToResults) {
   EXPECT_EQ(cold.backend_stats().artifact.hits, 0u);
   EXPECT_EQ(cold.search(queries, 3), expected);
   EXPECT_EQ(cold.last_report_stream(), expected_stream);
-  // A compiled configuration drops its network; the lazy rebuild matches
-  // the network a cycle-accurate configuration built and kept.
+  // A lowered configuration builds no network; the lazy build matches the
+  // network a cycle-accurate configuration built and kept.
   core::EngineOptions accurate = base;
   accurate.backend = core::SimulationBackend::kCycleAccurate;
   const core::ApKnnEngine kept(data, accurate);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "apss_test_support.hpp"
 #include "core/temporal_decode.hpp"
+#include "util/rng.hpp"
 
 namespace apss::core {
 namespace {
@@ -22,6 +26,31 @@ TEST(StreamSpec, RejectsOffsetsOutsideSortWindow) {
   const StreamSpec spec{4, 1};
   EXPECT_THROW(spec.distance_from_offset(7), std::out_of_range);
   EXPECT_THROW(spec.distance_from_offset(13), std::out_of_range);
+}
+
+TEST(SymbolStreamEncoder, BatchIsTheConcatenationOfQueryFrames) {
+  util::Rng rng(1901);
+  for (const std::size_t dims : {1u, 63u, 64u, 65u, 130u}) {
+    const StreamSpec spec{dims, 2};
+    const SymbolStreamEncoder enc(spec);
+    const auto queries = test::random_dataset(rng, 5, dims);
+    std::vector<std::uint8_t> frames;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto frame = enc.encode_query(queries.vector(q));
+      ASSERT_EQ(frame.size(), spec.cycles_per_query()) << "d=" << dims;
+      EXPECT_EQ(frame.front(), Alphabet::kSof);
+      for (std::size_t i = 0; i < dims; ++i) {
+        EXPECT_EQ(frame[1 + i], Alphabet::data_bit(queries.get(q, i)))
+            << "d=" << dims << " q=" << q << " i=" << i;
+      }
+      for (std::size_t i = 1 + dims; i + 1 < frame.size(); ++i) {
+        EXPECT_EQ(frame[i], Alphabet::kFill) << "d=" << dims << " i=" << i;
+      }
+      EXPECT_EQ(frame.back(), Alphabet::kEof);
+      frames.insert(frames.end(), frame.begin(), frame.end());
+    }
+    EXPECT_EQ(enc.encode_batch(queries), frames) << "d=" << dims;
+  }
 }
 
 TEST(SymbolStreamEncoder, EncodesPaperFig3Stream) {

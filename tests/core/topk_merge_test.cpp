@@ -134,6 +134,36 @@ TEST(TopKMerge, MultiplexedLayoutsMatchDecoderAndReference) {
   }
 }
 
+TEST(TopKMerge, RepeatedSearchesKeepNoStaleLists) {
+  // One engine reuses its per-(configuration, query) lists across calls;
+  // batches that shrink and grow, with k falling and rising, must each
+  // equal the exact scan.
+  util::Rng rng(1815);
+  const auto data = test::random_dataset(rng, 40, 12);
+  const auto big = test::random_dataset(rng, 9, 12);
+  const auto small = test::random_dataset(rng, 2, 12);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (const bool stream : {false, true}) {
+      EngineOptions opt;
+      opt.backend = SimulationBackend::kBitParallel;
+      opt.max_vectors_per_config = 16;
+      opt.packing_group_size = shape == 1 ? 4 : 0;
+      opt.slices = shape == 2 ? 3 : 1;
+      opt.collect_report_stream = stream;
+      opt.threads = 1;
+      ApKnnEngine engine(data, opt);
+      for (const auto& [queries, k] :
+           {std::pair{&big, std::size_t{43}}, {&small, std::size_t{1}},
+            {&big, std::size_t{2}}, {&small, std::size_t{40}},
+            {&big, std::size_t{7}}}) {
+        EXPECT_EQ(engine.search(*queries, k), knn::batch_knn(data, *queries, k))
+            << "shape=" << shape << " stream=" << stream
+            << " q=" << queries->size() << " k=" << k;
+      }
+    }
+  }
+}
+
 /// Every test starts and ends with the process-global injector disarmed.
 class TopKMergeDegrade : public ::testing::Test {
  protected:
